@@ -87,31 +87,34 @@ def letter_programs(n: int):
     return programs
 
 
-def apply_letter(vals: list, ops, moves, positive: bool) -> None:
-    """Apply one generator in place.  ``vals`` holds exact integers."""
-    if positive:
+def word_steps(letters, programs) -> list:
+    """The ``(ops, moves, positive)`` steps of a word in acting order
+    (the rightmost letter acts first)."""
+    return [programs[x] + (x > 0,) for x in reversed(letters)]
+
+
+def run_steps(vals: list, steps) -> None:
+    """Apply prepared steps in place; the one flip loop.  ``vals`` holds
+    exact integers.  A positive letter flips then relabels; its inverse
+    undoes the relabeling, then replays the flips in reverse."""
+    for ops, moves, positive in steps:
+        if not positive:
+            grabbed = [vals[src] for _, src in moves]
+            for (dst, _), val in zip(moves, grabbed):
+                vals[dst] = val
         for e, a, b, c, d in ops:
             x = vals[b] + vals[d]
             y = vals[a] + vals[c]
             vals[e] = (x if x > y else y) - vals[e]
-        grabbed = [vals[src] for _, src in moves]
-        for (dst, _), val in zip(moves, grabbed):
-            vals[dst] = val
-    else:
-        grabbed = [vals[src] for _, src in moves]
-        for (dst, _), val in zip(moves, grabbed):
-            vals[dst] = val
-        for e, a, b, c, d in ops:
-            x = vals[b] + vals[d]
-            y = vals[a] + vals[c]
-            vals[e] = (x if x > y else y) - vals[e]
+        if positive:
+            grabbed = [vals[src] for _, src in moves]
+            for (dst, _), val in zip(moves, grabbed):
+                vals[dst] = val
 
 
 def apply_word(vals: list, letters, programs) -> None:
     """Apply a braid word in place; the rightmost letter acts first."""
-    for x in reversed(letters):
-        ops, moves = programs[x]
-        apply_letter(vals, ops, moves, x > 0)
+    run_steps(vals, word_steps(letters, programs))
 
 
 def decode(n: int, avec, bvec) -> list:

@@ -1,4 +1,6 @@
-"""Pure-Python iteration engine for the curve-action growth loop.
+"""Iteration engine for the curve-action growth loop.
+
+Each iteration is one pass of ``_fan.run_steps`` over the word's steps.
 
 Exact arbitrary-precision integers throughout.  Coordinates are renormalized
 by an integer right-shift once their total exceeds 2**512; the discarded
@@ -10,6 +12,8 @@ detected, which certifies zero entropy for periodic braids.
 from __future__ import annotations
 
 import math
+
+from ._fan import run_steps, word_steps
 
 RENORM_BITS = 512
 RENORM_TARGET = 256
@@ -24,8 +28,7 @@ class PureEngine:
 
     def __init__(self, vals, letters, programs):
         self.vals = list(vals)
-        # rightmost letter acts first
-        self.steps = [programs[x] + (x > 0,) for x in reversed(letters)]
+        self.steps = word_steps(letters, programs)
         self.scale_bits = 0
         self._seen: dict | None = {tuple(self.vals): 0}
         self.periodic_at: int | None = None
@@ -40,25 +43,9 @@ class PureEngine:
     def advance(self, count: int) -> list[float]:
         """Apply the word ``count`` times; return the log-norm after each."""
         out = []
-        vals = self.vals
+        vals, steps = self.vals, self.steps
         for _ in range(count):
-            for ops, moves, positive in self.steps:
-                if positive:
-                    for e, a, b, c, d in ops:
-                        x = vals[b] + vals[d]
-                        y = vals[a] + vals[c]
-                        vals[e] = (x if x > y else y) - vals[e]
-                    grabbed = [vals[src] for _, src in moves]
-                    for (dst, _), val in zip(moves, grabbed):
-                        vals[dst] = val
-                else:
-                    grabbed = [vals[src] for _, src in moves]
-                    for (dst, _), val in zip(moves, grabbed):
-                        vals[dst] = val
-                    for e, a, b, c, d in ops:
-                        x = vals[b] + vals[d]
-                        y = vals[a] + vals[c]
-                        vals[e] = (x if x > y else y) - vals[e]
+            run_steps(vals, steps)
             self.iterations += 1
             norm = sum(vals)
             if norm <= 0:

@@ -4,7 +4,8 @@ and the reproduction runs.
 
 Output is deterministic: JSON for single objects, CSV for sweeps.  Exit
 codes: 0 success, 1 non-converged estimate (diagnostics as JSON on stdout),
-2 usage errors.
+2 usage errors, which include every input the library rejects with a
+``ValueError``.
 """
 
 from __future__ import annotations
@@ -23,17 +24,10 @@ from .cone import ConeClass, ConeContext, thurston_norm
 from .families import FamilySpec, generate
 from .spin import lift_braid, preserves_form, q0, q1
 from .standard import StandardForm, class_to_braid
-from .tribraid import NotPAWord, exact_dilatation, transition_matrix
+from .tribraid import exact_dilatation, transition_matrix
 from .words import BraidWord, linking_profile, make_generator
 
 DEFAULT_TOL = float(os.environ.get("BRAIDSEQ_TOL", dynnikov.DEFAULT_TOL))
-
-
-def _parse_braid(word: str, degree: int | None, spherical: bool) -> BraidWord:
-    try:
-        return BraidWord.from_text(word, degree=degree, spherical=spherical)
-    except ValueError as exc:
-        raise click.UsageError(str(exc))
 
 
 def _manifest(command: str, args: dict, output: str) -> dict:
@@ -47,11 +41,21 @@ def _manifest(command: str, args: dict, output: str) -> dict:
     }
 
 
-def _emit(ctx_params: dict, command: str, payload: str,
-          manifest_path: str | None):
-    click.echo(payload, nl=not payload.endswith("\n"))
+def _emit(params: dict, command: str, out: str,
+          manifest_path: str | None = None, csv_path: str | None = None):
+    """Write ``out`` to ``csv_path`` (or stdout), then its manifest.
+
+    ``params`` is the command's ``locals()``; its plain values become the
+    manifest's arguments.
+    """
+    if csv_path:
+        with open(csv_path, "w") as fh:
+            fh.write(out)
+        click.echo(f"wrote {csv_path}")
+    else:
+        click.echo(out, nl=not out.endswith("\n"))
     if manifest_path:
-        doc = _manifest(command, ctx_params, payload)
+        doc = _manifest(command, params, out)
         with open(manifest_path, "w") as fh:
             json.dump(doc, fh, indent=2, sort_keys=True)
             fh.write("\n")
@@ -65,7 +69,25 @@ def _csv_text(header: list[str], rows: list[list]) -> str:
     return buf.getvalue()
 
 
-@click.group()
+class _Command(click.Command):
+    """The one error boundary: a library ``ValueError`` (bad degree, non-pA
+    word, malformed blocks or class) becomes a usage error, exit 2."""
+
+    def invoke(self, ctx):
+        try:
+            return super().invoke(ctx)
+        except ValueError as exc:
+            raise click.UsageError(str(exc), ctx) from exc
+
+
+class _Group(click.Group):
+    """Builds every subcommand and subgroup with the boundary above."""
+
+    command_class = _Command
+    group_class = type
+
+
+@click.group(cls=_Group)
 def main():
     """Constructive pseudo-Anosov braid sequences with small normalized
     entropy."""
@@ -86,7 +108,7 @@ def braid():
 @click.option("--manifest", type=click.Path(), default=None)
 def braid_info(word, degree, spherical, as_json, manifest):
     """Permutation, fixed points, exponent sum and symmetry verdicts."""
-    b = _parse_braid(word, degree, spherical)
+    b = BraidWord.from_text(word, degree=degree, spherical=spherical)
     perm = b.permutation()
     info = {
         "word": b.to_text(),
@@ -118,7 +140,7 @@ def braid_info(word, degree, spherical, as_json, manifest):
 @click.option("--strand", type=int, required=True)
 def braid_linking(word, degree, strand):
     """Per-component linking numbers and the monotonicity verdict."""
-    b = _parse_braid(word, degree, False)
+    b = BraidWord.from_text(word, degree=degree)
     prof = linking_profile(b, strand)
     rows = [[" ".join(map(str, cyc)), lk] for cyc, lk in prof.components]
     out = _csv_text(["component", "linking_number"], rows)
@@ -144,12 +166,9 @@ def braid_generator(kind, n, j):
 @click.option("--manifest", type=click.Path(), default=None)
 def tribraid_cmd(word, as_json, manifest):
     """Exact dilatation of a 3-braid pA word."""
-    b = _parse_braid(word, 3, False)
-    try:
-        m = transition_matrix(b)
-        lam = exact_dilatation(b)
-    except NotPAWord as exc:
-        raise click.UsageError(str(exc))
+    b = BraidWord.from_text(word, degree=3)
+    m = transition_matrix(b)
+    lam = exact_dilatation(b)
     info = {
         "word": b.to_text(),
         "matrix": [list(r) for r in m.rows()],
@@ -177,15 +196,13 @@ def tribraid_cmd(word, as_json, manifest):
 @click.option("--degree", type=int, default=None)
 @click.option("--tol", type=float, default=None)
 @click.option("--max-iter", type=int, default=dynnikov.DEFAULT_MAX_ITER)
-@click.option("--kernel", type=click.Choice(["auto", "pure", "compiled"]),
-              default="auto")
 @click.option("--json", "as_json", is_flag=True, default=False)
 @click.option("--manifest", type=click.Path(), default=None)
-def entropy_cmd(word, degree, tol, max_iter, kernel, as_json, manifest):
+def entropy_cmd(word, degree, tol, max_iter, as_json, manifest):
     """Entropy estimate log(lambda) and normalized entropy of a braid."""
     tol = DEFAULT_TOL if tol is None else tol
-    b = _parse_braid(word, degree, False)
-    est = dynnikov.entropy_estimate(b, tol=tol, max_iter=max_iter, kernel=kernel)
+    b = BraidWord.from_text(word, degree=degree)
+    est = dynnikov.entropy_estimate(b, tol=tol, max_iter=max_iter)
     info = {
         "word": b.to_text(),
         "value": est.value,
@@ -264,17 +281,7 @@ def family_cmd(name, p_range, seed_blocks, seed_degree, pre_twist,
                 exit_code = 1
         rows.append(row)
     out = _csv_text(header, rows)
-    if csv_path:
-        with open(csv_path, "w") as fh:
-            fh.write(out)
-        click.echo(f"wrote {csv_path}")
-    else:
-        click.echo(out, nl=False)
-    if manifest:
-        doc = _manifest(f"family {name}", locals(), out)
-        with open(manifest, "w") as fh:
-            json.dump(doc, fh, indent=2, sort_keys=True)
-            fh.write("\n")
+    _emit(locals(), f"family {name}", out, manifest, csv_path)
     if exit_code:
         sys.exit(exit_code)
 
@@ -331,12 +338,7 @@ def cone_table(seed_blocks, seed_degree, xmax, ymax, tol, max_iter, csv_path):
             rows.append([x, y, norm, repr(est.value), repr(norm * est.value),
                          est.converged])
     out = _csv_text(["x", "y", "norm", "ent", "Ent", "converged"], rows)
-    if csv_path:
-        with open(csv_path, "w") as fh:
-            fh.write(out)
-        click.echo(f"wrote {csv_path}")
-    else:
-        click.echo(out, nl=False)
+    _emit(locals(), "cone table", out, csv_path=csv_path)
 
 
 @cone.command("braid")
@@ -372,14 +374,13 @@ def prongs_cmd(orbit, twist, cls, sweep, epsilon, csv_path):
                 f"expected axis:strand classes like 1,0:2,1 or one of "
                 f"{sorted(foliation.PRESETS)}; got {orbit!r}")
         axis_txt, strand_txt = orbit.split(":")
-        try:
-            data = foliation.OrbitData(
-                foliation.TorusClass(*_parse_class(axis_txt)),
-                foliation.TorusClass(*_parse_class(strand_txt)))
-        except ValueError as exc:
-            raise click.UsageError(str(exc))
+        data = foliation.OrbitData(
+            foliation.TorusClass(*_parse_class(axis_txt)),
+            foliation.TorusClass(*_parse_class(strand_txt)))
     for _ in range(twist):
         data = foliation.compose_orbit_full_twist(data, 1)
+    if cls.count(",") != 1:
+        raise click.UsageError(f"expected a class like 2,1 or p,1; got {cls!r}")
     xs, ys = cls.split(",")
     values = [None]
     if sweep:
@@ -397,12 +398,7 @@ def prongs_cmd(orbit, twist, cls, sweep, epsilon, csv_path):
         rows.append([pval if pval is not None else "-", x, y, axis_p, strand_p,
                      foliation.puncture_fill_validity(strand_p)])
     out = _csv_text(["p", "x", "y", "axis_prongs", "strand_prongs", "fill"], rows)
-    if csv_path:
-        with open(csv_path, "w") as fh:
-            fh.write(out)
-        click.echo(f"wrote {csv_path}")
-    else:
-        click.echo(out, nl=False)
+    _emit(locals(), "prongs", out, csv_path=csv_path)
 
 
 # -- spin -------------------------------------------------------------------
@@ -440,7 +436,7 @@ def spin_check(family_name, p):
 @click.option("--spherical", is_flag=True, default=False)
 def spin_lift(word, degree, spherical):
     """Lift any braid word and print the q0/q1 verdicts."""
-    b = _parse_braid(word, degree, spherical)
+    b = BraidWord.from_text(word, degree=degree, spherical=spherical)
     lifted = lift_braid(b)
     g = lifted.genus
     click.echo(f"genus {g}; preserves q0: {preserves_form(lifted, q0(g))}; "
@@ -487,17 +483,7 @@ def reproduce_cmd(target, pmax, tol, max_iter, csv_path, manifest):
             exit_code |= 0 if est.converged else 1
         footer = f"# Ent(b_1) = {limit!r}\n"
     out = _csv_text(header, rows) + footer
-    if csv_path:
-        with open(csv_path, "w") as fh:
-            fh.write(out)
-        click.echo(f"wrote {csv_path}")
-    else:
-        click.echo(out, nl=False)
-    if manifest:
-        doc = _manifest(f"reproduce {target}", locals(), out)
-        with open(manifest, "w") as fh:
-            json.dump(doc, fh, indent=2, sort_keys=True)
-            fh.write("\n")
+    _emit(locals(), f"reproduce {target}", out, manifest, csv_path)
     if exit_code:
         sys.exit(exit_code)
 

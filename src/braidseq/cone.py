@@ -86,8 +86,7 @@ def fiber_class_of_program(prog: TwistProgram) -> ConeClass:
 def normalized_entropy_of_class(ctx: ConeContext, seed: StandardForm,
                                 c: ConeClass,
                                 tol: float = dynnikov.DEFAULT_TOL,
-                                max_iter: int = dynnikov.DEFAULT_MAX_ITER,
-                                kernel: str = "auto") -> float:
+                                max_iter: int = dynnikov.DEFAULT_MAX_ITER) -> float:
     """Thurston norm times entropy of the class's monodromy braid.
 
     Non-primitive classes are reduced to the primitive representative first
@@ -99,8 +98,7 @@ def normalized_entropy_of_class(ctx: ConeContext, seed: StandardForm,
         raise ValueError("class must lie in the closed cone with x >= 1")
     sf = class_to_braid(seed, prim.x, prim.y)
     word = sf.to_braid_word()
-    est = dynnikov.entropy_estimate(word, tol=tol, max_iter=max_iter,
-                                    kernel=kernel)
+    est = dynnikov.entropy_estimate(word, tol=tol, max_iter=max_iter)
     est.require_converged()
     norm = thurston_norm(ctx, prim)
     if norm != word.degree - 1:

@@ -17,12 +17,7 @@ from . import _fan
 from ._kernel_py import PureEngine
 from .words import BraidWord, DegreeMismatch
 
-try:                                    # compiled hot loop, optional
-    from ._ckernel import CEngine as _CEngine
-    HAVE_COMPILED_KERNEL = True
-except ImportError:                     # pure fallback selected at import
-    _CEngine = None
-    HAVE_COMPILED_KERNEL = False
+_CEngine = None                         # read by perfbench/spans.py
 
 DEFAULT_TOL = 1e-9
 DEFAULT_MAX_ITER = 512
@@ -114,22 +109,11 @@ class EstimatorDiverged(RuntimeError):
     """Estimate did not converge within the iteration budget."""
 
 
-def _make_engine(word: BraidWord, seed: CurveCoordinates, kernel: str):
+def _make_engine(word: BraidWord, seed: CurveCoordinates):
     n = word.degree
     vec = _fan.decode(n, seed.a, seed.b)
     programs = _fan.letter_programs(n)
-    if kernel == "pure" or (kernel == "auto" and not HAVE_COMPILED_KERNEL):
-        return PureEngine(vec, word.letters, programs)
-    if kernel in ("auto", "compiled"):
-        if not HAVE_COMPILED_KERNEL:
-            raise RuntimeError("compiled kernel requested but not built")
-        try:
-            return _CEngine(vec, word.letters, programs)
-        except OverflowError:
-            if kernel == "compiled":
-                raise
-            return PureEngine(vec, word.letters, programs)
-    raise ValueError(f"unknown kernel {kernel!r}")
+    return PureEngine(vec, word.letters, programs)
 
 
 ZERO_FLOOR = 1e-7                       # below any pA entropy at desk scale
@@ -137,8 +121,7 @@ ZERO_FLOOR = 1e-7                       # below any pA entropy at desk scale
 
 def entropy_estimate(word: BraidWord, tol: float = DEFAULT_TOL,
                      max_iter: int = DEFAULT_MAX_ITER,
-                     seed: CurveCoordinates | None = None,
-                     kernel: str = "auto") -> EntropyEstimate:
+                     seed: CurveCoordinates | None = None) -> EntropyEstimate:
     """Growth rate log(lambda) of the braid's action on a seed curve system.
 
     Iterates the exact action and accelerates the log-norm increments, both
@@ -158,7 +141,7 @@ def entropy_estimate(word: BraidWord, tol: float = DEFAULT_TOL,
         seed = default_seed(n)
     if seed.is_zero():
         raise ValueError("seed curve system is empty")
-    engine = _make_engine(word, seed, kernel)
+    engine = _make_engine(word, seed)
     lognorms = [engine.lognorm()]
     last_delta = math.inf
     best = 0.0
@@ -167,10 +150,9 @@ def entropy_estimate(word: BraidWord, tol: float = DEFAULT_TOL,
     while engine.iterations < max_iter:
         todo = min(chunk, max_iter - engine.iterations)
         lognorms.extend(engine.advance(todo))
-        if getattr(engine, "periodic_at", None) is not None:
+        if engine.periodic_at is not None:
             return EntropyEstimate(0.0, engine.iterations, 0.0,
-                                   engine.scale_bits * math.log(2.0), True,
-                                   engine.name)
+                                   engine.scale_bits * math.log(2.0), True)
         raw = [lognorms[k + 1] - lognorms[k] for k in range(len(lognorms) - 1)]
         verdicts = []
         acc = _aitken(raw)
@@ -190,14 +172,13 @@ def entropy_estimate(word: BraidWord, tol: float = DEFAULT_TOL,
             if d1 < tol and d2 < tol and value > ZERO_FLOOR:
                 return EntropyEstimate(value, engine.iterations, d1,
                                        engine.scale_bits * math.log(2.0),
-                                       True, engine.name)
+                                       True)
     # best effort: growth over the later half of the run
     half = len(lognorms) // 2
     if len(lognorms) - 1 > half:
         best = (lognorms[-1] - lognorms[half]) / (len(lognorms) - 1 - half)
     return EntropyEstimate(max(best, 0.0), engine.iterations, last_delta,
-                           engine.scale_bits * math.log(2.0), False,
-                           engine.name)
+                           engine.scale_bits * math.log(2.0), False)
 
 
 def _aitken(raw: list[float]) -> list[float]:
@@ -215,10 +196,9 @@ def _aitken(raw: list[float]) -> list[float]:
 
 
 def normalized_entropy(word: BraidWord, tol: float = DEFAULT_TOL,
-                       max_iter: int = DEFAULT_MAX_ITER,
-                       kernel: str = "auto") -> float:
+                       max_iter: int = DEFAULT_MAX_ITER) -> float:
     """(n - 1) * log(lambda) for a degree-n braid; raises on divergence."""
-    est = entropy_estimate(word, tol=tol, max_iter=max_iter, kernel=kernel)
+    est = entropy_estimate(word, tol=tol, max_iter=max_iter)
     est.require_converged()
     return (word.degree - 1) * est.value
 

@@ -252,8 +252,3 @@ def ef_gamma(sf: StandardForm) -> BraidWord:
         letters.extend(-i for i in range(n + u - 1, n - 1, -1))
     gamma = BraidWord(deg, tuple(letters)) * full_twist(deg, n - 1)
     return gamma
-
-
-def delta_squared_word(d: int) -> BraidWord:
-    """The full twist of B_d as a literal word."""
-    return full_twist(d)

@@ -99,7 +99,7 @@ class ExactDilatation:
 
     def approx(self, digits: int = 30) -> str:
         scale = 10 ** (digits + 5)
-        s = _isqrt(self.discriminant * scale * scale)
+        s = math.isqrt(self.discriminant * scale * scale)
         val = Fraction(self.trace * scale + s, 2 * scale)
         return _format_fraction(val, digits)
 
@@ -107,19 +107,14 @@ class ExactDilatation:
         return f"(1/2)*({self.trace} + sqrt({self.discriminant}))"
 
 
-def exact_dilatation(word: BraidWord, full_twists: int = 0) -> ExactDilatation:
+def exact_dilatation(word: BraidWord) -> ExactDilatation:
     """Exact dilatation of the 3-braid given by a pA word.
 
-    A declared full-twist power may accompany the word (any 3-braid is
-    conjugate to a pA word up to such a power); the twist is central and
-    does not change the dilatation, so it is accepted and ignored.
+    Any 3-braid is conjugate to a pA word up to a full-twist power; the
+    twist is central and does not change the dilatation, so pass the pA
+    word alone.
     """
-    del full_twists
     return ExactDilatation(transition_matrix(word).trace)
-
-
-def _isqrt(n: int) -> int:
-    return math.isqrt(n)
 
 
 def _log_quadratic(trace: int) -> float:
@@ -127,7 +122,7 @@ def _log_quadratic(trace: int) -> float:
     disc = trace * trace - 4
     if trace.bit_length() <= 500:
         scale = 1 << 160
-        s = _isqrt(disc * scale * scale)
+        s = math.isqrt(disc * scale * scale)
         num = trace * scale + s
         return math.log(num) - math.log(2 * scale)
     # For enormous traces, log lambda ~ log trace; correct via 1/trace series.

@@ -1,5 +1,7 @@
+import hashlib
 import json
 
+import pytest
 from click.testing import CliRunner
 
 from braidseq.cli import main
@@ -141,3 +143,36 @@ def test_cone_braid_word():
               "--class", "1,1")
     assert res.exit_code == 0
     assert res.output.strip() == "B4 -1 2 3 3"
+
+
+@pytest.mark.parametrize("args", [
+    ("prongs", "--class", "5"),
+    ("family", "z", "--p", "1", "--seed-blocks", "x", "--seed-degree", "3"),
+    ("cone", "braid", "--seed-blocks", "-1|-1", "--seed-degree", "3",
+     "--class", "2,4"),
+    ("cone", "norm", "--n", "3", "--u", "1", "--class", "-1,2"),
+    ("spin", "lift", "--word", "1", "--degree", "2"),
+    ("cone", "table", "--seed-blocks", "-1", "--seed-degree", "2"),
+    ("entropy", "--braid", "1 -2", "--kernel", "pure"),
+    ("tribraid", "--word", "1 2"),
+    ("braid", "info", "--word", "1 5", "--degree", "3"),
+])
+def test_rejected_input_is_a_usage_error(args):
+    res = run(*args)
+    assert res.exit_code == 2
+    assert "Usage:" in res.output and "Error:" in res.output
+    assert res.exc_info[0] is SystemExit      # no traceback escaped
+
+
+def test_csv_file_and_manifest_match_stdout(tmp_path):
+    args = ("family", "xi", "--p", "1..2")
+    stdout = run(*args).output
+    csv_path, manifest = tmp_path / "f.csv", tmp_path / "m.json"
+    res = run(*args, "--csv", str(csv_path), "--manifest", str(manifest))
+    assert res.exit_code == 0
+    assert res.output == f"wrote {csv_path}\n"
+    assert csv_path.read_text() == stdout
+    doc = json.loads(manifest.read_text())
+    assert doc["command"] == "family xi"
+    assert doc["outputs_digest"] == hashlib.sha256(stdout.encode()).hexdigest()
+    assert doc["arguments"]["p_range"] == "1..2"

@@ -5,10 +5,11 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from braidseq import _fan
+from braidseq._kernel_py import PureEngine
 from braidseq.dynnikov import (CurveCoordinates, act, braids_equal,
                                curve_suite, default_seed, entropy_estimate,
                                nested_seed, normalized_entropy, round_curve,
-                               EstimatorDiverged, HAVE_COMPILED_KERNEL)
+                               EstimatorDiverged)
 from braidseq.words import BraidWord, delta, full_twist, rho
 
 
@@ -183,21 +184,23 @@ def test_spherical_input_rejected():
 
 
 def test_accumulated_scale_reported():
-    # long enough run to trigger renormalization in the pure engine
-    est = entropy_estimate(BraidWord(3, (-1, 2, 2)) ** 4, kernel="pure",
+    # long enough run to trigger renormalization in the engine
+    est = entropy_estimate(BraidWord(3, (-1, 2, 2)) ** 4,
                            tol=1e-12, max_iter=160)
     assert est.accumulated_scale >= 0.0
 
 
-@pytest.mark.skipif(not HAVE_COMPILED_KERNEL, reason="compiled kernel absent")
-def test_kernels_agree():
-    for letters in [(-1, 2, 2), (1, 1, -2, 3), (-1, 2, -1, 2, 2)]:
-        n = max(abs(x) for x in letters) + 1
-        b = BraidWord(n, letters)
-        ep = entropy_estimate(b, kernel="pure")
-        ec = entropy_estimate(b, kernel="compiled")
-        assert ep.converged == ec.converged
-        assert abs(ep.value - ec.value) < 1e-12
+def test_engine_pass_is_one_application_of_the_word():
+    b = BraidWord(4, (1, 1, -2, 3, -1, 2))
+    seed = default_seed(4)
+    engine = PureEngine(_fan.decode(4, seed.a, seed.b), b.letters,
+                        _fan.letter_programs(4))
+    engine.advance(6)
+    coords = seed
+    for _ in range(6):
+        coords = act(b, coords)
+    assert engine.scale_bits == 0
+    assert _fan.encode(4, engine.vals) == (coords.a, coords.b)
 
 
 # -- word problem --------------------------------------------------------------
