@@ -3,7 +3,8 @@ prong bookkeeping, the exact 3-braid oracle, entropy estimates, spin checks,
 and the reproduction runs.
 
 Output is deterministic: JSON for single objects, CSV for sweeps.  Exit
-codes: 0 success, 1 non-converged estimate (diagnostics as JSON on stdout),
+codes: 0 success, 1 when an estimate behind the output did not converge
+(the output is still written; ``entropy`` switches to JSON diagnostics),
 2 usage errors, which include every input the library rejects with a
 ``ValueError``.
 """
@@ -14,7 +15,6 @@ import csv
 import hashlib
 import io
 import json
-import os
 import sys
 
 import click
@@ -27,27 +27,12 @@ from .standard import StandardForm, class_to_braid
 from .tribraid import exact_dilatation, transition_matrix
 from .words import BraidWord, linking_profile, make_generator
 
-DEFAULT_TOL = float(os.environ.get("BRAIDSEQ_TOL", dynnikov.DEFAULT_TOL))
 
-
-def _manifest(command: str, args: dict, output: str) -> dict:
-    plain = {k: v for k, v in args.items()
-             if isinstance(v, (str, int, float, bool, type(None)))}
-    return {
-        "command": command,
-        "arguments": {k: plain[k] for k in sorted(plain)},
-        "tool_version": __version__,
-        "outputs_digest": hashlib.sha256(output.encode()).hexdigest(),
-    }
-
-
-def _emit(params: dict, command: str, out: str,
-          manifest_path: str | None = None, csv_path: str | None = None):
-    """Write ``out`` to ``csv_path`` (or stdout), then its manifest.
-
-    ``params`` is the command's ``locals()``; its plain values become the
-    manifest's arguments.
-    """
+def _emit(command: str, out: str, manifest_path: str | None = None,
+          csv_path: str | None = None, converged: bool = True):
+    """Write ``out`` to ``csv_path`` (or stdout), then its manifest, whose
+    arguments are the command's declared parameters; exit 1 when an
+    estimate behind ``out`` did not converge."""
     if csv_path:
         with open(csv_path, "w") as fh:
             fh.write(out)
@@ -55,10 +40,17 @@ def _emit(params: dict, command: str, out: str,
     else:
         click.echo(out, nl=not out.endswith("\n"))
     if manifest_path:
-        doc = _manifest(command, params, out)
+        doc = {
+            "command": command,
+            "arguments": click.get_current_context().params,
+            "tool_version": __version__,
+            "outputs_digest": hashlib.sha256(out.encode()).hexdigest(),
+        }
         with open(manifest_path, "w") as fh:
             json.dump(doc, fh, indent=2, sort_keys=True)
             fh.write("\n")
+    if not converged:
+        sys.exit(1)
 
 
 def _csv_text(header: list[str], rows: list[list]) -> str:
@@ -131,7 +123,7 @@ def braid_info(word, degree, spherical, as_json, manifest):
             f"fixed points:  {info['fixed_points']}",
             f"exponent sum:  {info['exponent_sum']}",
         ])
-    _emit(locals(), "braid info", out, manifest)
+    _emit("braid info", out, manifest)
 
 
 @braid.command("linking")
@@ -186,7 +178,7 @@ def tribraid_cmd(word, as_json, manifest):
             f"decimal:      {info['dilatation_decimal']}",
             f"log:          {info['log_dilatation']!r}",
         ])
-    _emit(locals(), "tribraid", out, manifest)
+    _emit("tribraid", out, manifest)
 
 
 # -- entropy ----------------------------------------------------------------
@@ -194,13 +186,12 @@ def tribraid_cmd(word, as_json, manifest):
 @main.command("entropy")
 @click.option("--braid", "word", required=True)
 @click.option("--degree", type=int, default=None)
-@click.option("--tol", type=float, default=None)
+@click.option("--tol", type=float, default=dynnikov.DEFAULT_TOL)
 @click.option("--max-iter", type=int, default=dynnikov.DEFAULT_MAX_ITER)
 @click.option("--json", "as_json", is_flag=True, default=False)
 @click.option("--manifest", type=click.Path(), default=None)
 def entropy_cmd(word, degree, tol, max_iter, as_json, manifest):
     """Entropy estimate log(lambda) and normalized entropy of a braid."""
-    tol = DEFAULT_TOL if tol is None else tol
     b = BraidWord.from_text(word, degree=degree)
     est = dynnikov.entropy_estimate(b, tol=tol, max_iter=max_iter)
     info = {
@@ -223,9 +214,7 @@ def entropy_cmd(word, degree, tol, max_iter, as_json, manifest):
             f"iterations:   {est.iterations}",
             f"converged:    {est.converged}",
         ])
-    _emit(locals(), "entropy", out, manifest)
-    if not est.converged:
-        sys.exit(1)
+    _emit("entropy", out, manifest, converged=est.converged)
 
 
 # -- family -----------------------------------------------------------------
@@ -251,14 +240,13 @@ def _parse_range(text: str) -> list[int]:
 @click.option("--seed-degree", type=int, default=None)
 @click.option("--pre-twist", type=int, default=0)
 @click.option("--with-entropy", is_flag=True, default=False)
-@click.option("--tol", type=float, default=None)
+@click.option("--tol", type=float, default=dynnikov.DEFAULT_TOL)
 @click.option("--max-iter", type=int, default=4096)
 @click.option("--csv", "csv_path", type=click.Path(), default=None)
 @click.option("--manifest", type=click.Path(), default=None)
 def family_cmd(name, p_range, seed_blocks, seed_degree, pre_twist,
                with_entropy, tol, max_iter, csv_path, manifest):
     """Generate family members; optionally with (ent, Ent) columns."""
-    tol = DEFAULT_TOL if tol is None else tol
     seed = None
     if seed_blocks is not None:
         if seed_degree is None:
@@ -268,7 +256,7 @@ def family_cmd(name, p_range, seed_blocks, seed_degree, pre_twist,
     if with_entropy:
         header += ["ent", "Ent", "converged"]
     rows = []
-    exit_code = 0
+    converged = True
     for p in _parse_range(p_range):
         member = generate(FamilySpec(name, p, seed=seed, pre_twist=pre_twist))
         w = member.word
@@ -277,13 +265,10 @@ def family_cmd(name, p_range, seed_blocks, seed_degree, pre_twist,
             est = dynnikov.entropy_estimate(w, tol=tol, max_iter=max_iter)
             row += [repr(est.value), repr((w.degree - 1) * est.value),
                     est.converged]
-            if not est.converged:
-                exit_code = 1
+            converged = converged and est.converged
         rows.append(row)
     out = _csv_text(header, rows)
-    _emit(locals(), f"family {name}", out, manifest, csv_path)
-    if exit_code:
-        sys.exit(exit_code)
+    _emit(f"family {name}", out, manifest, csv_path, converged)
 
 
 # -- cone -------------------------------------------------------------------
@@ -317,13 +302,12 @@ def cone_norm(n, u, cls):
 @click.option("--seed-degree", type=int, required=True)
 @click.option("--xmax", type=int, default=4)
 @click.option("--ymax", type=int, default=4)
-@click.option("--tol", type=float, default=None)
+@click.option("--tol", type=float, default=dynnikov.DEFAULT_TOL)
 @click.option("--max-iter", type=int, default=4096)
 @click.option("--csv", "csv_path", type=click.Path(), default=None)
 def cone_table(seed_blocks, seed_degree, xmax, ymax, tol, max_iter, csv_path):
     """(x, y, norm, ent, Ent) over primitive interior classes."""
     from math import gcd
-    tol = DEFAULT_TOL if tol is None else tol
     seed = StandardForm.from_blocks_text(seed_blocks, seed_degree)
     ctx = ConeContext.of_seed(seed)
     rows = []
@@ -338,7 +322,8 @@ def cone_table(seed_blocks, seed_degree, xmax, ymax, tol, max_iter, csv_path):
             rows.append([x, y, norm, repr(est.value), repr(norm * est.value),
                          est.converged])
     out = _csv_text(["x", "y", "norm", "ent", "Ent", "converged"], rows)
-    _emit(locals(), "cone table", out, csv_path=csv_path)
+    _emit("cone table", out, csv_path=csv_path,
+          converged=all(row[-1] for row in rows))
 
 
 @cone.command("braid")
@@ -398,7 +383,7 @@ def prongs_cmd(orbit, twist, cls, sweep, epsilon, csv_path):
         rows.append([pval if pval is not None else "-", x, y, axis_p, strand_p,
                      foliation.puncture_fill_validity(strand_p)])
     out = _csv_text(["p", "x", "y", "axis_prongs", "strand_prongs", "fill"], rows)
-    _emit(locals(), "prongs", out, csv_path=csv_path)
+    _emit("prongs", out, csv_path=csv_path)
 
 
 # -- spin -------------------------------------------------------------------
@@ -447,7 +432,7 @@ def spin_lift(word, degree, spherical):
 
 @main.command("reproduce")
 @click.argument("target", type=click.Choice(["thm1.1", "thm5.2"]))
-@click.option("--pmax", type=int, default=8)
+@click.option("--pmax", type=click.IntRange(min=1), default=8)
 @click.option("--tol", type=float, default=1e-8)
 @click.option("--max-iter", type=int, default=4096)
 @click.option("--csv", "csv_path", type=click.Path(), default=None)
@@ -455,37 +440,29 @@ def spin_lift(word, degree, spherical):
 def reproduce_cmd(target, pmax, tol, max_iter, csv_path, manifest):
     """End-to-end convergence experiments behind the headline sequences."""
     import math
-    rows: list[list] = []
-    exit_code = 0
     if target == "thm1.1":
+        family, seed = "z", None
+        column, footer = "abs_error_vs_limit", "# limit 2*log(2+sqrt(3)) = "
         limit = 2 * math.log(2 + math.sqrt(3))
-        header = ["p", "degree", "ent", "Ent", "abs_error_vs_limit", "converged"]
-        for p in range(1, pmax + 1):
-            w = generate(FamilySpec("z", p)).word
-            est = dynnikov.entropy_estimate(w, tol=tol, max_iter=max_iter)
-            ent_n = (w.degree - 1) * est.value
-            rows.append([p, w.degree, repr(est.value), repr(ent_n),
-                         repr(abs(ent_n - limit)), est.converged])
-            exit_code |= 0 if est.converged else 1
-        footer = f"# limit 2*log(2+sqrt(3)) = {limit!r}\n"
+        converged = True
     else:
-        seed = StandardForm(3, ((-1,), (-1,)))
+        family, seed = "beta", StandardForm(3, ((-1,), (-1,)))
+        column, footer = "abs_error_vs_Ent_b1", "# Ent(b_1) = "
         b1 = generate(FamilySpec("b_p", 1, seed=seed)).word
-        est1 = dynnikov.entropy_estimate(b1, tol=tol, max_iter=max_iter)
-        limit = (b1.degree - 1) * est1.value
-        header = ["p", "degree", "ent", "Ent", "abs_error_vs_Ent_b1", "converged"]
-        for p in range(1, pmax + 1):
-            w = generate(FamilySpec("beta", p, seed=seed)).word
-            est = dynnikov.entropy_estimate(w, tol=tol, max_iter=max_iter)
-            ent_n = (w.degree - 1) * est.value
-            rows.append([p, w.degree, repr(est.value), repr(ent_n),
-                         repr(abs(ent_n - limit)), est.converged])
-            exit_code |= 0 if est.converged else 1
-        footer = f"# Ent(b_1) = {limit!r}\n"
-    out = _csv_text(header, rows) + footer
-    _emit(locals(), f"reproduce {target}", out, manifest, csv_path)
-    if exit_code:
-        sys.exit(exit_code)
+        est = dynnikov.entropy_estimate(b1, tol=tol, max_iter=max_iter)
+        limit = (b1.degree - 1) * est.value
+        converged = est.converged
+    rows: list[list] = []
+    for p in range(1, pmax + 1):
+        w = generate(FamilySpec(family, p, seed=seed)).word
+        est = dynnikov.entropy_estimate(w, tol=tol, max_iter=max_iter)
+        ent_n = (w.degree - 1) * est.value
+        rows.append([p, w.degree, repr(est.value), repr(ent_n),
+                     repr(abs(ent_n - limit)), est.converged])
+        converged = converged and est.converged
+    header = ["p", "degree", "ent", "Ent", column, "converged"]
+    out = _csv_text(header, rows) + f"{footer}{limit!r}\n"
+    _emit(f"reproduce {target}", out, manifest, csv_path, converged)
 
 
 if __name__ == "__main__":

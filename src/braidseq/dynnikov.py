@@ -109,14 +109,8 @@ class EstimatorDiverged(RuntimeError):
     """Estimate did not converge within the iteration budget."""
 
 
-def _make_engine(word: BraidWord, seed: CurveCoordinates):
-    n = word.degree
-    vec = _fan.decode(n, seed.a, seed.b)
-    programs = _fan.letter_programs(n)
-    return PureEngine(vec, word.letters, programs)
-
-
 ZERO_FLOOR = 1e-7                       # below any pA entropy at desk scale
+CHUNK = 16                              # passes per check and per window
 
 
 def entropy_estimate(word: BraidWord, tol: float = DEFAULT_TOL,
@@ -125,13 +119,17 @@ def entropy_estimate(word: BraidWord, tol: float = DEFAULT_TOL,
     """Growth rate log(lambda) of the braid's action on a seed curve system.
 
     Iterates the exact action and accelerates the log-norm increments, both
-    per step and averaged over windows (the latter damps the oscillating
-    transients of barely-stretching braids).  An estimate of zero is only
-    accepted when the orbit literally repeats, which certifies a periodic
-    mapping class; otherwise zero-looking estimates keep iterating.
-    Non-convergence is reported, not raised; it signals reducible-dominated
-    growth or an insufficient budget.
+    per pass and averaged over ``CHUNK``-pass windows (the latter damps the
+    oscillating transients of barely-stretching braids).  After each chunk
+    the last five rates of either kind decide convergence.  An estimate of
+    zero is only accepted when the orbit literally repeats, which certifies
+    a periodic mapping class; otherwise zero-looking estimates keep
+    iterating.  Non-convergence is reported, not raised; it signals
+    reducible-dominated growth or an insufficient budget.
     """
+    if max_iter < 1 or not tol > 0:
+        raise ValueError(f"need max_iter >= 1 and tol > 0; "
+                         f"got max_iter={max_iter}, tol={tol}")
     if word.spherical:
         raise ValueError("estimator acts on disk braids; compare via shift")
     n = word.degree
@@ -141,44 +139,45 @@ def entropy_estimate(word: BraidWord, tol: float = DEFAULT_TOL,
         seed = default_seed(n)
     if seed.is_zero():
         raise ValueError("seed curve system is empty")
-    engine = _make_engine(word, seed)
+    engine = PureEngine(_fan.decode(n, seed.a, seed.b), word.letters,
+                        _fan.letter_programs(n))
     lognorms = [engine.lognorm()]
+    windows: list[float] = []
     last_delta = math.inf
-    best = 0.0
-    chunk = 16
-    w = 16
     while engine.iterations < max_iter:
-        todo = min(chunk, max_iter - engine.iterations)
+        start = lognorms[-1]
+        todo = min(CHUNK, max_iter - engine.iterations)
         lognorms.extend(engine.advance(todo))
         if engine.periodic_at is not None:
             return EntropyEstimate(0.0, engine.iterations, 0.0,
                                    engine.scale_bits * math.log(2.0), True)
-        raw = [lognorms[k + 1] - lognorms[k] for k in range(len(lognorms) - 1)]
-        verdicts = []
-        acc = _aitken(raw)
-        if len(acc) >= 3 and len(raw) >= 8:
-            verdicts.append((abs(acc[-1] - acc[-2]), abs(acc[-2] - acc[-3]),
-                             acc[-1]))
-        thin = [(lognorms[j * w] - lognorms[(j - 1) * w]) / w
-                for j in range(1, len(lognorms) // w + 1)
-                if j * w < len(lognorms) + 1]
-        tacc = _aitken(thin)
-        if len(tacc) >= 3:
-            verdicts.append((abs(tacc[-1] - tacc[-2]),
-                             abs(tacc[-2] - tacc[-3]), tacc[-1]))
-        for d1, d2, value in verdicts:
+        if todo == CHUNK:
+            windows.append((lognorms[-1] - start) / CHUNK)
+        tails = []
+        if engine.iterations >= 8:
+            tail = lognorms[-6:]
+            tails.append([b - a for a, b in zip(tail, tail[1:])])
+        if len(windows) >= 5:
+            tails.append(windows[-5:])
+        for d1, d2, value in map(_verdict, tails):
             last_delta = min(last_delta, d1)
-            best = value
             if d1 < tol and d2 < tol and value > ZERO_FLOOR:
                 return EntropyEstimate(value, engine.iterations, d1,
                                        engine.scale_bits * math.log(2.0),
                                        True)
     # best effort: growth over the later half of the run
+    best = 0.0
     half = len(lognorms) // 2
     if len(lognorms) - 1 > half:
         best = (lognorms[-1] - lognorms[half]) / (len(lognorms) - 1 - half)
     return EntropyEstimate(max(best, 0.0), engine.iterations, last_delta,
                            engine.scale_bits * math.log(2.0), False)
+
+
+def _verdict(rates: list[float]) -> tuple[float, float, float]:
+    """Last two steps and last value of the Aitken sequence of five rates."""
+    a0, a1, a2 = _aitken(rates)
+    return abs(a2 - a1), abs(a1 - a0), a2
 
 
 def _aitken(raw: list[float]) -> list[float]:

@@ -47,11 +47,25 @@ def test_entropy_json():
     assert abs(doc["normalized_entropy"] - 2.6339157938) < 1e-6
 
 
-def test_entropy_nonconverged_exit_code():
-    res = run("entropy", "--braid", "B3 2 2", "--max-iter", "64", "--json")
+@pytest.mark.parametrize("args, header", [
+    (("entropy", "--braid", "B3 2 2", "--max-iter", "64", "--json"), "{"),
+    (("family", "z", "--p", "1..2", "--with-entropy", "--max-iter", "8"),
+     "p,degree,word,ent,Ent,converged"),
+    (("cone", "table", "--seed-blocks", "-1", "--seed-degree", "3",
+      "--xmax", "2", "--ymax", "2", "--max-iter", "8"),
+     "x,y,norm,ent,Ent,converged"),
+    (("reproduce", "thm5.2", "--pmax", "2", "--max-iter", "8"),
+     "p,degree,ent,Ent,abs_error_vs_Ent_b1,converged"),
+], ids=["entropy", "family", "cone-table", "reproduce"])
+def test_entropy_nonconverged_exit_code(args, header):
+    res = run(*args)
     assert res.exit_code == 1
-    doc = json.loads(res.output)
-    assert doc["converged"] is False
+    assert res.exc_info[0] is SystemExit
+    assert res.output.startswith(header)
+    if args[0] == "entropy":
+        assert json.loads(res.output)["converged"] is False
+    else:
+        assert ",False\n" in res.output
 
 
 def test_cone_norm():
@@ -156,6 +170,12 @@ def test_cone_braid_word():
     ("entropy", "--braid", "1 -2", "--kernel", "pure"),
     ("tribraid", "--word", "1 2"),
     ("braid", "info", "--word", "1 5", "--degree", "3"),
+    ("entropy", "--braid", "1 -2", "--max-iter", "0"),
+    ("entropy", "--braid", "1 -2", "--max-iter", "-3"),
+    ("entropy", "--braid", "1 -2", "--tol", "0"),
+    ("entropy", "--braid", "1 -2", "--tol", "-1"),
+    ("family", "xi", "--p", "1", "--with-entropy", "--max-iter", "0"),
+    ("reproduce", "thm1.1", "--pmax", "0"),
 ])
 def test_rejected_input_is_a_usage_error(args):
     res = run(*args)
@@ -176,3 +196,5 @@ def test_csv_file_and_manifest_match_stdout(tmp_path):
     assert doc["command"] == "family xi"
     assert doc["outputs_digest"] == hashlib.sha256(stdout.encode()).hexdigest()
     assert doc["arguments"]["p_range"] == "1..2"
+    declared = {param.name for param in main.commands["family"].params}
+    assert set(doc["arguments"]) == declared

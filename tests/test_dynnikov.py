@@ -129,10 +129,12 @@ def test_periodic_braids_estimate_to_zero():
         assert est.converged and est.value == 0.0
 
 
-def test_reducible_twist_reports_divergence():
-    # twist along a curve meeting the seed: linear growth, no convergence
-    est = entropy_estimate(BraidWord(3, (2, 2)), max_iter=64)
-    assert not est.converged
+@pytest.mark.parametrize("max_iter", [15, 31, 47, 64])
+def test_reducible_twist_reports_divergence(max_iter):
+    # twist along a curve meeting the seed: linear growth, no convergence;
+    # budgets ending one pass short of a full window included
+    est = entropy_estimate(BraidWord(3, (2, 2)), max_iter=max_iter)
+    assert not est.converged and est.iterations == max_iter
     with pytest.raises(EstimatorDiverged):
         est.require_converged()
 
