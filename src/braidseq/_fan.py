@@ -29,11 +29,6 @@ from __future__ import annotations
 from functools import lru_cache
 
 
-def edge_count(n: int) -> int:
-    """Internal vector length for public degree n."""
-    return 3 * (n + 2) - 3
-
-
 @lru_cache(maxsize=None)
 def _layout(N: int):
     """Flat indices of the padded fan edges for N punctures in a row."""

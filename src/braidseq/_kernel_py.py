@@ -5,8 +5,11 @@ Each iteration is one pass of ``_fan.run_steps`` over the word's steps.
 Exact arbitrary-precision integers throughout.  Coordinates are renormalized
 by an integer right-shift once their total exceeds 2**512; the discarded
 power of two is accumulated exactly (in bits) so growth estimates are
-unaffected.  While no renormalization has happened, exact state repeats are
-detected, which certifies zero entropy for periodic braids.
+unaffected.  While no renormalization has happened, a return of the orbit
+to its start vector is detected, which certifies zero entropy for periodic
+braids.  The action is a bijection, so x_i = x_j with i < j implies
+x_0 = x_{j-i}: the first repeat of an exact orbit is a return to its start,
+so the start vector is the only one kept.
 """
 
 from __future__ import annotations
@@ -30,7 +33,7 @@ class PureEngine:
         self.vals = list(vals)
         self.steps = word_steps(letters, programs)
         self.scale_bits = 0
-        self._seen: dict | None = {tuple(self.vals): 0}
+        self._start: list | None = list(self.vals)
         self.periodic_at: int | None = None
         self.iterations = 0
 
@@ -52,17 +55,13 @@ class PureEngine:
                 out.append(float("-inf"))
                 continue
             out.append(math.log(norm) + self.scale_bits * LOG2)
-            if self._seen is not None:
-                key = tuple(vals)
-                if key in self._seen:
-                    self.periodic_at = self.iterations
-                    self._seen = None
-                else:
-                    self._seen[key] = self.iterations
+            if vals == self._start:
+                self.periodic_at = self.iterations
+                self._start = None
             if norm.bit_length() > RENORM_BITS:
                 shift = norm.bit_length() - RENORM_TARGET
                 for i, v in enumerate(vals):
                     vals[i] = v >> shift
                 self.scale_bits += shift
-                self._seen = None
+                self._start = None
         return out

@@ -343,7 +343,8 @@ def cone_braid(seed_blocks, seed_degree, cls):
 @main.command("prongs")
 @click.option("--orbit", default="1,0:2,1",
               help="axis:strand orbit classes like 1,0:2,1 or a preset name")
-@click.option("--twist", type=int, default=0, help="full twists composed onto the orbit")
+@click.option("--twist", type=click.IntRange(min=0), default=0,
+              help="full twists composed onto the orbit")
 @click.option("--class", "cls", required=True,
               help='class "x,y"; either coordinate may be the symbol p')
 @click.option("--sweep", default=None, help="p=1..10")

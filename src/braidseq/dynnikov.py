@@ -5,7 +5,9 @@ The action is exact integer arithmetic (see ``_fan``); the entropy of a
 braid is the exponential growth rate of the coordinates of an essential
 curve system under iteration, extracted with geometric-sequence (Aitken)
 acceleration.  The estimator is commissioned against the exact 3-braid
-oracle in the test suite.
+oracle in the test suite.  Two braids are equal when their permutations
+and exponent sums agree and they move each of the n-1 curves around
+adjacent punctures to the same curve.
 """
 
 from __future__ import annotations
@@ -48,9 +50,6 @@ class CurveCoordinates:
 
     def is_zero(self) -> bool:
         return not any(self.a) and not any(self.b)
-
-    def norm(self) -> int:
-        return sum(abs(x) for x in self.a) + sum(abs(x) for x in self.b)
 
 
 def round_curve(n: int, lo: int, hi: int) -> CurveCoordinates:
@@ -122,8 +121,8 @@ def entropy_estimate(word: BraidWord, tol: float = DEFAULT_TOL,
     per pass and averaged over ``CHUNK``-pass windows (the latter damps the
     oscillating transients of barely-stretching braids).  After each chunk
     the last five rates of either kind decide convergence.  An estimate of
-    zero is only accepted when the orbit literally repeats, which certifies
-    a periodic mapping class; otherwise zero-looking estimates keep
+    zero is only accepted when the orbit returns to its seed, which
+    certifies a periodic mapping class; otherwise zero-looking estimates keep
     iterating.  Non-convergence is reported, not raised; it signals
     reducible-dominated growth or an insufficient budget.
     """
@@ -212,25 +211,26 @@ class EqualityVerdict:
 
 
 def curve_suite(n: int) -> list[tuple[str, CurveCoordinates]]:
-    """Curves around every consecutive puncture block, plus fixed probes."""
-    suite = []
-    for lo in range(1, n):
-        for hi in range(lo + 1, n + 1):
-            if lo == 1 and hi == n:
-                continue                 # boundary-parallel, coordinates zero
-            suite.append((f"curve around {{{lo}..{hi}}}",
-                          round_curve(n, lo, hi)))
-    rng = _SplitMix(0x9E3779B97F4A7C15 ^ n)
-    for t in range(4):
-        a = tuple(rng.next_int(-6, 6) for _ in range(n - 2))
-        b = tuple(rng.next_int(-6, 6) for _ in range(n - 2))
-        suite.append((f"probe system #{t}", CurveCoordinates(a, b)))
-    return suite
+    """The n-1 curves around adjacent punctures {i, i+1}."""
+    return [(f"curve around {{{i}..{i + 1}}}", round_curve(n, i, i + 1))
+            for i in range(1, n)]
 
 
 def braids_equal(b: BraidWord, c: BraidWord) -> EqualityVerdict:
     """Word-problem verdict: compares permutations, exponent sums and the
-    action on the curve suite; ``distinct`` comes with a witness."""
+    action on the curve suite; ``distinct`` comes with a witness.
+
+    The adjacent curves of ``curve_suite`` fill the disk and no three of
+    them pairwise intersect.  By the Alexander method (Farb-Margalit,
+    *A Primer on Mapping Class Groups*, Prop. 2.8), if ``b c^-1`` fixes
+    all of them, it is a finite-order class of the sphere that has the n
+    punctures and the collapsed boundary as punctures and fixes each of
+    them.  For n >= 3 that is at least 4 fixed punctures, while a
+    nontrivial finite-order class of the sphere fixes at most 2; so the
+    class is trivial there and ``b c^-1`` is central in B_n, Delta^{2k}.
+    Equal exponent sums force k = 0.  For n = 2 the only adjacent curve is
+    boundary-parallel and the exponent sum decides.
+    """
     if b.degree != c.degree or b.spherical != c.spherical:
         return EqualityVerdict(False, "degree or sphericity mismatch")
     if b.permutation() != c.permutation():
@@ -243,18 +243,3 @@ def braids_equal(b: BraidWord, c: BraidWord) -> EqualityVerdict:
         if act(b, coords) != act(c, coords):
             return EqualityVerdict(False, name)
     return EqualityVerdict(True)
-
-
-class _SplitMix:
-    """Tiny deterministic generator for reproducible probe systems."""
-
-    def __init__(self, state: int):
-        self.state = state & 0xFFFFFFFFFFFFFFFF
-
-    def next_int(self, lo: int, hi: int) -> int:
-        self.state = (self.state + 0x9E3779B97F4A7C15) & 0xFFFFFFFFFFFFFFFF
-        z = self.state
-        z = ((z ^ (z >> 30)) * 0xBF58476D1CE4E5B9) & 0xFFFFFFFFFFFFFFFF
-        z = ((z ^ (z >> 27)) * 0x94D049BB133111EB) & 0xFFFFFFFFFFFFFFFF
-        z = z ^ (z >> 31)
-        return lo + z % (hi - lo + 1)

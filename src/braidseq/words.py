@@ -76,10 +76,6 @@ class Permutation:
             out.append(tuple(cyc))
         return out
 
-    @staticmethod
-    def identity(n: int) -> "Permutation":
-        return Permutation(tuple(range(1, n + 1)))
-
 
 @dataclass(frozen=True)
 class BraidWord:
@@ -258,14 +254,6 @@ def _is_int(token: str) -> bool:
 
 # -- named generators -----------------------------------------------------
 
-def identity(n: int, spherical: bool = False) -> BraidWord:
-    return BraidWord(n, (), spherical)
-
-
-def sigma(n: int, j: int) -> BraidWord:
-    return BraidWord(n, (j,))
-
-
 def delta(n: int, j: int | None = None) -> BraidWord:
     """delta_j = sigma_1 ... sigma_{j-1} as an element of B_n."""
     j = n if j is None else j
@@ -349,6 +337,8 @@ def linking_profile(b: BraidWord, i: int) -> LinkingProfile:
     every one is <= -1.  For non-positive braids the verdict is a necessary
     condition only (flagged via ``conclusive``).
     """
+    if not 1 <= i <= b.degree:
+        raise ValueError(f"strand index {i} out of range")
     perm = b.permutation()
     if perm(i) != i:
         raise StrandNotFixed(f"strand {i} is not fixed by the permutation")

@@ -176,6 +176,9 @@ def test_cone_braid_word():
     ("entropy", "--braid", "1 -2", "--tol", "-1"),
     ("family", "xi", "--p", "1", "--with-entropy", "--max-iter", "0"),
     ("reproduce", "thm1.1", "--pmax", "0"),
+    ("braid", "linking", "--word", "1 1", "--strand", "3"),
+    ("braid", "linking", "--word", "1 1", "--strand", "0"),
+    ("prongs", "--class", "1,1", "--twist", "-1"),
 ])
 def test_rejected_input_is_a_usage_error(args):
     res = run(*args)

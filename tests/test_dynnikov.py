@@ -10,7 +10,7 @@ from braidseq.dynnikov import (CurveCoordinates, act, braids_equal,
                                curve_suite, default_seed, entropy_estimate,
                                nested_seed, normalized_entropy, round_curve,
                                EstimatorDiverged)
-from braidseq.words import BraidWord, delta, full_twist, rho
+from braidseq.words import BraidWord, delta, full_twist, half_twist, rho
 
 
 def letters_strategy(n, max_len=12):
@@ -205,6 +205,22 @@ def test_engine_pass_is_one_application_of_the_word():
     assert _fan.encode(4, engine.vals) == (coords.a, coords.b)
 
 
+@pytest.mark.parametrize("word, first_return", [
+    (full_twist(4), 1), (delta(5), 5), (rho(6), 5), (half_twist(5), 2),
+    (delta(4) ** 3, 4)])
+def test_periodic_orbit_first_returns_to_its_seed(word, first_return):
+    n = word.degree
+    seed = default_seed(n)
+    engine = PureEngine(_fan.decode(n, seed.a, seed.b), word.letters,
+                        _fan.letter_programs(n))
+    engine.advance(16)
+    assert engine.periodic_at == first_return
+    coords = seed
+    for _ in range(first_return):
+        coords = act(word, coords)
+    assert coords == seed
+
+
 # -- word problem --------------------------------------------------------------
 
 def test_equal_after_free_insertion():
@@ -251,7 +267,70 @@ def test_flag_mismatch_is_distinct():
 
 def test_suite_has_expected_size():
     names = [name for name, _ in curve_suite(5)]
-    assert len([n for n in names if n.startswith("curve")]) == 9
+    assert names == [f"curve around {{{i}..{i + 1}}}" for i in range(1, 5)]
+
+
+def _block_twist(n, lo, hi):
+    """Letters of the full twist on strands lo..hi."""
+    return tuple(x + lo - 1 for x in full_twist(n, hi - lo + 1).letters)
+
+
+def _reference_equal(b, c, curves):
+    return (b.permutation() == c.permutation()
+            and b.exponent_sum() == c.exponent_sum()
+            and all(act(b, v) == act(c, v) for v in curves))
+
+
+@pytest.mark.parametrize("n", range(3, 9))
+def test_adjacent_curves_decide_like_a_larger_suite(n):
+    # reference: every consecutive-block curve plus seeded random systems
+    rng = random.Random(100 + n)
+    curves = [round_curve(n, lo, hi) for lo in range(1, n)
+              for hi in range(lo + 1, n + 1) if (lo, hi) != (1, n)]
+    for _ in range(4):
+        curves.append(CurveCoordinates(
+            tuple(rng.randint(-6, 6) for _ in range(n - 2)),
+            tuple(rng.randint(-6, 6) for _ in range(n - 2))))
+    letters = [x for x in range(1 - n, n) if x]
+    empty = BraidWord(n, ())
+    pairs = []
+    # Delta^2 on one block against Delta^2 on another block of equal size
+    for size in range(2, n):
+        blocks = [(lo, lo + size - 1) for lo in range(1, n - size + 2)]
+        for lo, hi in blocks:
+            for lo2, hi2 in blocks:
+                pairs.append((BraidWord(n, _block_twist(n, lo, hi)) *
+                              BraidWord(n, _block_twist(n, lo2, hi2)).inverse(),
+                              empty))
+            # Delta^2 balanced against a block twist: the exponent sum is
+            # zero and only the curves crossing the block's curve move
+            p, q = size * (size - 1), n * (n - 1)
+            g = math.gcd(p, q)
+            pairs.append((full_twist(n) ** (p // g) *
+                          BraidWord(n, _block_twist(n, lo, hi)).inverse()
+                          ** (q // g), empty))
+    # twist differences g s_i^2 g^-1 h s_j^-2 h^-1, some equal by construction
+    for _ in range(60):
+        g = BraidWord(n, tuple(rng.choice(letters)
+                               for _ in range(rng.randint(0, 6))))
+        i = rng.randint(1, n - 1)
+        kind = rng.randrange(4)
+        if kind == 0 and i < n - 1:      # (s_i s_{i+1}) s_i^2 (..)^-1 = s_{i+1}^2
+            h, j = g * BraidWord(n, (i, i + 1)), i
+            i += 1
+        elif kind == 1:                  # s_i commutes with s_i^2
+            h, j = g * BraidWord(n, (rng.choice([i, -i]),)), i
+        else:
+            h = BraidWord(n, tuple(rng.choice(letters)
+                                   for _ in range(rng.randint(0, 6))))
+            j = rng.randint(1, n - 1)
+        twist = g * BraidWord(n, (i, i)) * g.inverse()
+        untwist = h * BraidWord(n, (-j, -j)) * h.inverse()
+        pairs.append((twist * untwist, empty))
+    verdicts = [_reference_equal(b, c, curves) for b, c in pairs]
+    assert any(verdicts) and not all(verdicts)
+    for (b, c), expected in zip(pairs, verdicts):
+        assert bool(braids_equal(b, c)) == expected
 
 
 def test_remove_strand_commutes_with_free_reduction():
