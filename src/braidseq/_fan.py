@@ -27,6 +27,7 @@ exact and mutually inverse.
 from __future__ import annotations
 
 from functools import lru_cache
+from operator import add, sub
 
 
 @lru_cache(maxsize=None)
@@ -105,6 +106,56 @@ def run_steps(vals: list, steps) -> None:
             grabbed = [vals[src] for _, src in moves]
             for (dst, _), val in zip(moves, grabbed):
                 vals[dst] = val
+
+
+def record_steps(vals: list, steps) -> list[bool]:
+    """``run_steps`` that also returns the branch every flip took, in order:
+    True when ``b + d`` was strictly larger.  A twin rather than an option of
+    ``run_steps``, so the word-problem action pays nothing for the record."""
+    bits: list[bool] = []
+    bit = bits.append
+    for ops, moves, positive in steps:
+        if not positive:
+            grabbed = [vals[src] for _, src in moves]
+            for (dst, _), val in zip(moves, grabbed):
+                vals[dst] = val
+        for e, a, b, c, d in ops:
+            x = vals[b] + vals[d]
+            y = vals[a] + vals[c]
+            if x > y:
+                vals[e] = x - vals[e]
+                bit(True)
+            else:
+                vals[e] = y - vals[e]
+                bit(False)
+        if positive:
+            grabbed = [vals[src] for _, src in moves]
+            for (dst, _), val in zip(moves, grabbed):
+                vals[dst] = val
+    return bits
+
+
+def pass_matrix(size: int, steps, bits) -> list[list[int]]:
+    """Integer matrix of one pass of ``steps`` on the cell of ``bits``: the
+    linear map the pass applies to every vector whose flips take the
+    branches that ``record_steps`` recorded as ``bits``."""
+    rows = [[0] * size for _ in range(size)]
+    for i, row in enumerate(rows):
+        row[i] = 1
+    branch = iter(bits)
+    for ops, moves, positive in steps:
+        if not positive:
+            grabbed = [rows[src] for _, src in moves]
+            for (dst, _), row in zip(moves, grabbed):
+                rows[dst] = row
+        for e, a, b, c, d in ops:
+            p, q = (b, d) if next(branch) else (a, c)
+            rows[e] = list(map(sub, map(add, rows[p], rows[q]), rows[e]))
+        if positive:
+            grabbed = [rows[src] for _, src in moves]
+            for (dst, _), row in zip(moves, grabbed):
+                rows[dst] = row
+    return rows
 
 
 def apply_word(vals: list, letters, programs) -> None:

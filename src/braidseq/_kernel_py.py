@@ -1,6 +1,9 @@
 """Iteration engine for the curve-action growth loop.
 
-Each iteration is one pass of ``_fan.run_steps`` over the word's steps.
+Each iteration is one pass of ``_fan.record_steps`` over the word's steps,
+which also records the branch every flip took; once a pass takes the same
+branches as the pass before it, the pass acts on the iterate as one integer
+matrix (``_fan.pass_matrix``), which the estimator certifies.
 
 Exact arbitrary-precision integers throughout.  Coordinates are renormalized
 by an integer right-shift once their total exceeds 2**512; the discarded
@@ -16,7 +19,7 @@ from __future__ import annotations
 
 import math
 
-from ._fan import run_steps, word_steps
+from ._fan import record_steps, word_steps
 
 RENORM_BITS = 512
 RENORM_TARGET = 256
@@ -36,6 +39,8 @@ class PureEngine:
         self._start: list | None = list(self.vals)
         self.periodic_at: int | None = None
         self.iterations = 0
+        self.bits: list[bool] | None = None
+        self.repeated = False
 
     def lognorm(self) -> float:
         norm = sum(self.vals)
@@ -44,11 +49,17 @@ class PureEngine:
         return math.log(norm) + self.scale_bits * LOG2
 
     def advance(self, count: int) -> list[float]:
-        """Apply the word ``count`` times; return the log-norm after each."""
+        """Apply the word ``count`` times; return the log-norm after each.
+
+        ``bits`` holds the branches of the last pass, and ``repeated`` says
+        whether the pass before it took the same ones.
+        """
         out = []
         vals, steps = self.vals, self.steps
         for _ in range(count):
-            run_steps(vals, steps)
+            bits = record_steps(vals, steps)
+            self.repeated = bits == self.bits
+            self.bits = bits
             self.iterations += 1
             norm = sum(vals)
             if norm <= 0:

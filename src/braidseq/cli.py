@@ -202,6 +202,7 @@ def entropy_cmd(word, degree, tol, max_iter, as_json, manifest):
         "last_delta": est.last_delta,
         "accumulated_scale": est.accumulated_scale,
         "converged": est.converged,
+        "method": est.method,
         "kernel": est.kernel,
         "tol": tol,
     }

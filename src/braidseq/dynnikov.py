@@ -3,11 +3,14 @@ piecewise-linear action on coordinatized curve systems.
 
 The action is exact integer arithmetic (see ``_fan``); the entropy of a
 braid is the exponential growth rate of the coordinates of an essential
-curve system under iteration, extracted with geometric-sequence (Aitken)
-acceleration.  The estimator is commissioned against the exact 3-braid
-oracle in the test suite.  Two braids are equal when their permutations
-and exponent sums agree and they move each of the n-1 curves around
-adjacent punctures to the same curve.
+curve system under iteration.  The action is piecewise linear, and once a
+pass of the word repeats its branches it is one integer matrix; the
+dilatation is certified from an eigenvector of that matrix which the full
+action stretches by it.  The estimator is checked against the exact
+3-braid oracle and against 40-digit linear-piece references in the test
+suite.  Two braids are equal when their permutations and exponent sums
+agree and they move each of the n-1 curves around adjacent punctures to the
+same curve.
 """
 
 from __future__ import annotations
@@ -87,13 +90,22 @@ def act(word: BraidWord, coords: CurveCoordinates) -> CurveCoordinates:
 
 @dataclass(frozen=True)
 class EntropyEstimate:
-    """Converged growth-rate value with iteration diagnostics."""
+    """Growth-rate value with iteration diagnostics.
+
+    ``method`` says what decided a converged value: ``linear_piece`` (an
+    eigenvector certificate of the repeated linear piece), ``periodic`` (a
+    return of the orbit to its seed) or ``none`` (not converged: the value is
+    the growth over the later half of the run).  ``last_delta`` is the
+    certificate's relative residual, 0.0 for a periodic orbit, and otherwise
+    the change between the last two per-pass growth rates.
+    """
 
     value: float
     iterations: int
     last_delta: float
     accumulated_scale: float
     converged: bool
+    method: str
     kernel: str = "pure"
 
     def require_converged(self) -> "EntropyEstimate":
@@ -108,23 +120,23 @@ class EstimatorDiverged(RuntimeError):
     """Estimate did not converge within the iteration budget."""
 
 
-ZERO_FLOOR = 1e-7                       # below any pA entropy at desk scale
-CHUNK = 16                              # passes per check and per window
-
-
 def entropy_estimate(word: BraidWord, tol: float = DEFAULT_TOL,
                      max_iter: int = DEFAULT_MAX_ITER,
                      seed: CurveCoordinates | None = None) -> EntropyEstimate:
     """Growth rate log(lambda) of the braid's action on a seed curve system.
 
-    Iterates the exact action and accelerates the log-norm increments, both
-    per pass and averaged over ``CHUNK``-pass windows (the latter damps the
-    oscillating transients of barely-stretching braids).  After each chunk
-    the last five rates of either kind decide convergence.  An estimate of
-    zero is only accepted when the orbit returns to its seed, which
-    certifies a periodic mapping class; otherwise zero-looking estimates keep
-    iterating.  Non-convergence is reported, not raised; it signals
-    reducible-dominated growth or an insufficient budget.
+    Iterates the exact action one pass at a time.  The flip rule is
+    piecewise linear; once a pass takes the same branches as the pass
+    before it, the pass acts on the iterate as one integer matrix M, and
+    ``_certify`` looks for an eigenvector of M, near the iterate, that the
+    full piecewise-linear pass stretches by lambda > 1 (Bestvina-Handel,
+    *Topology* 1995; Hall-Yurttas, *Topol. Appl.* 2009).  Only such a
+    certificate, or a return of the orbit to its seed (zero entropy, a
+    periodic class), makes an estimate converged.  A failed certificate is
+    tried again after 1, 2, 4, ... further passes, so a word that cannot be
+    certified costs O(log max_iter) factorizations.  Non-convergence is
+    reported, not raised; it signals reducible-dominated growth or an
+    insufficient budget.
     """
     if max_iter < 1 or not tol > 0:
         raise ValueError(f"need max_iter >= 1 and tol > 0; "
@@ -133,7 +145,7 @@ def entropy_estimate(word: BraidWord, tol: float = DEFAULT_TOL,
         raise ValueError("estimator acts on disk braids; compare via shift")
     n = word.degree
     if n < 3:
-        return EntropyEstimate(0.0, 0, 0.0, 0.0, True)
+        return EntropyEstimate(0.0, 0, 0.0, 0.0, True, "periodic")
     if seed is None:
         seed = default_seed(n)
     if seed.is_zero():
@@ -141,56 +153,124 @@ def entropy_estimate(word: BraidWord, tol: float = DEFAULT_TOL,
     engine = PureEngine(_fan.decode(n, seed.a, seed.b), word.letters,
                         _fan.letter_programs(n))
     lognorms = [engine.lognorm()]
-    windows: list[float] = []
-    last_delta = math.inf
+    retry_at, wait = 0, 1
     while engine.iterations < max_iter:
-        start = lognorms[-1]
-        todo = min(CHUNK, max_iter - engine.iterations)
-        lognorms.extend(engine.advance(todo))
+        lognorms += engine.advance(1)
         if engine.periodic_at is not None:
-            return EntropyEstimate(0.0, engine.iterations, 0.0,
-                                   engine.scale_bits * math.log(2.0), True)
-        if todo == CHUNK:
-            windows.append((lognorms[-1] - start) / CHUNK)
-        tails = []
-        if engine.iterations >= 8:
-            tail = lognorms[-6:]
-            tails.append([b - a for a, b in zip(tail, tail[1:])])
-        if len(windows) >= 5:
-            tails.append(windows[-5:])
-        for d1, d2, value in map(_verdict, tails):
-            last_delta = min(last_delta, d1)
-            if d1 < tol and d2 < tol and value > ZERO_FLOOR:
-                return EntropyEstimate(value, engine.iterations, d1,
-                                       engine.scale_bits * math.log(2.0),
-                                       True)
+            return _estimate(engine, 0.0, 0.0, "periodic")
+        if engine.repeated and engine.iterations >= retry_at:
+            found = _certify(engine, math.exp(lognorms[-1] - lognorms[-2]), tol)
+            if found is not None:
+                lam, residual = found
+                return _estimate(engine, math.log(lam), residual, "linear_piece")
+            retry_at, wait = engine.iterations + wait, 2 * wait
     # best effort: growth over the later half of the run
-    best = 0.0
+    best, last_delta = 0.0, math.inf
     half = len(lognorms) // 2
     if len(lognorms) - 1 > half:
         best = (lognorms[-1] - lognorms[half]) / (len(lognorms) - 1 - half)
-    return EntropyEstimate(max(best, 0.0), engine.iterations, last_delta,
-                           engine.scale_bits * math.log(2.0), False)
+    if len(lognorms) >= 3:
+        a, b, c = lognorms[-3:]
+        last_delta = abs((c - b) - (b - a))
+    return _estimate(engine, max(best, 0.0), last_delta, "none")
 
 
-def _verdict(rates: list[float]) -> tuple[float, float, float]:
-    """Last two steps and last value of the Aitken sequence of five rates."""
-    a0, a1, a2 = _aitken(rates)
-    return abs(a2 - a1), abs(a1 - a0), a2
+def _estimate(engine: PureEngine, value: float, last_delta: float,
+              method: str) -> EntropyEstimate:
+    return EntropyEstimate(value, engine.iterations, last_delta,
+                           engine.scale_bits * math.log(2.0),
+                           method != "none", method)
 
 
-def _aitken(raw: list[float]) -> list[float]:
-    """Aitken delta-squared acceleration of the raw estimate sequence."""
-    out = []
-    for k in range(2, len(raw)):
-        d1 = raw[k - 1] - raw[k - 2]
-        d2 = raw[k] - raw[k - 1]
-        denom = d2 - d1
-        if abs(denom) > 1e-14 * (abs(d1) + abs(d2) + 1e-300):
-            out.append(raw[k] - d2 * d2 / denom)
-        else:
-            out.append(raw[k])
-    return out
+def _certify(engine: PureEngine, sigma: float,
+             tol: float) -> tuple[float, float] | None:
+    """(lambda, relative residual) certified from the engine's last pass,
+    or None.
+
+    M is the integer matrix of the pass on the cell of its branches.
+    Shift-and-invert from the float-scaled iterate refines an eigenvector x
+    of M, starting at the shift ``sigma`` and moving the shift to the
+    stretch ratio of the refined vector after each solve.  lambda is
+    accepted when x >= 0, lambda > 1, and the full piecewise-linear pass
+    (``_fan.run_steps`` on floats, which also checks that x lies in the
+    cell) stretches x by lambda with a relative residual at most the gate
+    min(tol, max(1e-12, 1e-15 |M|_inf)): then x is a projectively invariant
+    measured foliation stretched by lambda.  The gate scales with |M|,
+    since float rounding in the pass grows with the size of its entries.
+    A vector the pass fixes shows a residual of about lambda - 1, so
+    lambda > 1 is only resolved when lambda - 1 exceeds twice the gate.
+    An attempt stops once a solve fails to cut the residual eightfold.
+    """
+    steps, vals = engine.steps, engine.vals
+    m = _fan.pass_matrix(len(vals), steps, engine.bits)
+    norm = max(sum(map(abs, row)) for row in m)
+    gate = min(tol, max(1e-12, 1e-15 * norm))
+    core = [j for j, col in enumerate(zip(*m))
+            if col[j] != 1 or any(col[:j]) or any(col[j + 1:])]
+    rows = [list(map(float, map(row.__getitem__, core))) for row in m]
+    shift = max(0, max(vals).bit_length() - 60)
+    x = [float(v >> shift) for v in vals]
+    last = math.inf
+    while True:                 # ends: each solve cuts the residual eightfold
+        y = _shifted_solve(rows, core, sigma, x, 1e-16 * norm)
+        top = max(y, key=abs)
+        if not top:
+            return None
+        x = [t / top for t in y]
+        total = sum(x)
+        if not total > 0:
+            return None
+        z = list(x)
+        _fan.run_steps(z, steps)
+        lam = sum(z) / total
+        if not lam - 1 > 2 * gate:
+            return None
+        residual = max(abs(u - lam * t) for u, t in zip(z, x)) / lam
+        if residual <= gate and min(x) >= -gate:
+            return lam, residual
+        if not residual < last / 8:
+            return None
+        last, sigma = residual, lam
+
+
+def _shifted_solve(rows: list[list[float]], core: list[int], sigma: float,
+                   rhs: list[float], tiny: float) -> list[float]:
+    """Solve (M - sigma I) y = rhs: one LU factorization with partial
+    pivoting, done as Gaussian elimination on the augmented matrix.
+
+    Every column of M outside ``core`` is a unit vector, so its coordinate
+    feeds no other; ``rows`` holds the rows of M restricted to the ``core``
+    columns.  The elimination runs on the core block alone, and each other
+    entry of y follows from its own row.  A zero pivot is nudged to
+    ``tiny``.
+    """
+    size = len(core)
+    a = [rows[i] + [rhs[i]] for i in core]
+    for k in range(size):
+        a[k][k] -= sigma
+    for k in range(size):
+        col = [abs(row[k]) for row in a[k:]]
+        p = k + col.index(max(col))
+        a[k], a[p] = a[p], a[k]
+        pivot_row = a[k]
+        pivot = pivot_row[k] = pivot_row[k] or tiny
+        tail = pivot_row[k + 1:]
+        for row in a[k + 1:]:
+            f = row[k]
+            if f:
+                f /= pivot
+                row[k + 1:] = [u - f * v for u, v in zip(row[k + 1:], tail)]
+    y_core = [0.0] * size
+    for k in range(size - 1, -1, -1):
+        row = a[k]
+        y_core[k] = (row[size] - sum([u * v for u, v in zip(row[k + 1:size], y_core[k + 1:])])) / row[k]
+    y = [0.0] * len(rows)
+    for i, v in zip(core, y_core):
+        y[i] = v
+    free = (1.0 - sigma) or tiny
+    for i in set(range(len(rows))).difference(core):
+        y[i] = (rhs[i] - sum([u * v for u, v in zip(rows[i], y_core)])) / free
+    return y
 
 
 def normalized_entropy(word: BraidWord, tol: float = DEFAULT_TOL,
@@ -229,10 +309,15 @@ def braids_equal(b: BraidWord, c: BraidWord) -> EqualityVerdict:
     nontrivial finite-order class of the sphere fixes at most 2; so the
     class is trivial there and ``b c^-1`` is central in B_n, Delta^{2k}.
     Equal exponent sums force k = 0.  For n = 2 the only adjacent curve is
-    boundary-parallel and the exponent sum decides.
+    boundary-parallel and the exponent sum decides.  Two spherical words
+    raise ``ValueError``: the argument decides disk braids, and a word that
+    is trivial in SB_n, such as s1 s2 s2 s1 in SB_3, moves disk curves.
     """
     if b.degree != c.degree or b.spherical != c.spherical:
         return EqualityVerdict(False, "degree or sphericity mismatch")
+    if b.spherical:
+        raise ValueError("the curve suite decides disk braids; "
+                         "spherical words are not supported")
     if b.permutation() != c.permutation():
         return EqualityVerdict(False, "permutations differ")
     if b.exponent_sum() != c.exponent_sum():

@@ -138,7 +138,7 @@ def test_criterion_04_beta_family_convergence():
     ents = {}
     for p in range(1, 9):
         w = generate(FamilySpec("beta", p, seed=SEED_32)).word
-        ents[p] = (w.degree - 1) * estimate(w, tol=1e-8, max_iter=6000)
+        ents[p] = (w.degree - 1) * estimate(w, tol=1e-8)
     gaps = [abs(ents[p] - limit) for p in range(1, 9)]
     diffs = [abs(ents[p + 1] - ents[p]) for p in range(1, 8)]
     # approach: the gap shrinks overall and the steps eventually decrease

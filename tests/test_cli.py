@@ -1,5 +1,9 @@
 import hashlib
 import json
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import pytest
 from click.testing import CliRunner
@@ -43,8 +47,20 @@ def test_entropy_json():
     res = run("entropy", "--braid", "B3 -1 2 2", "--json")
     assert res.exit_code == 0
     doc = json.loads(res.output)
-    assert doc["converged"] is True
+    assert doc["converged"] is True and doc["method"] == "linear_piece"
     assert abs(doc["normalized_entropy"] - 2.6339157938) < 1e-6
+
+
+def test_cli_import_loads_no_numerics_library():
+    # numpy alone would add about 12 MB of resident memory and 0.16 s of
+    # start-up to every command
+    code = ("import sys, braidseq.cli; "
+            "print(sorted({'numpy', 'mpmath', 'sympy'} & set(sys.modules)))")
+    src = str(Path(__file__).resolve().parent.parent / "src")
+    out = subprocess.run([sys.executable, "-c", code], capture_output=True,
+                         text=True, check=True, timeout=60,
+                         env={**os.environ, "PYTHONPATH": src})
+    assert out.stdout.strip() == "[]"
 
 
 @pytest.mark.parametrize("args, header", [
@@ -52,7 +68,7 @@ def test_entropy_json():
     (("family", "z", "--p", "1..2", "--with-entropy", "--max-iter", "8"),
      "p,degree,word,ent,Ent,converged"),
     (("cone", "table", "--seed-blocks", "-1", "--seed-degree", "3",
-      "--xmax", "2", "--ymax", "2", "--max-iter", "8"),
+      "--xmax", "2", "--ymax", "2", "--max-iter", "1"),
      "x,y,norm,ent,Ent,converged"),
     (("reproduce", "thm5.2", "--pmax", "2", "--max-iter", "8"),
      "p,degree,ent,Ent,abs_error_vs_Ent_b1,converged"),
