@@ -48,6 +48,17 @@ def _layout(N: int):
 
 
 @lru_cache(maxsize=None)
+def triangles(n: int) -> tuple[tuple[int, int, int], ...]:
+    """The 2N-2 triangles of the padded fan for degree n, each as the flat
+    indices of its three edges: the upper and the lower triangle over each
+    axis segment."""
+    N = n + 2
+    EL, H, T, B, ER, up, dn = _layout(N)
+    return tuple((side[k], H[k], side[k + 1])
+                 for k in range(1, N) for side in (up, dn))
+
+
+@lru_cache(maxsize=None)
 def letter_programs(n: int):
     """Per-generator flip programs for degree n.
 
@@ -89,29 +100,12 @@ def word_steps(letters, programs) -> list:
     return [programs[x] + (x > 0,) for x in reversed(letters)]
 
 
-def run_steps(vals: list, steps) -> None:
+def run_steps(vals: list, steps) -> list[bool]:
     """Apply prepared steps in place; the one flip loop.  ``vals`` holds
-    exact integers.  A positive letter flips then relabels; its inverse
-    undoes the relabeling, then replays the flips in reverse."""
-    for ops, moves, positive in steps:
-        if not positive:
-            grabbed = [vals[src] for _, src in moves]
-            for (dst, _), val in zip(moves, grabbed):
-                vals[dst] = val
-        for e, a, b, c, d in ops:
-            x = vals[b] + vals[d]
-            y = vals[a] + vals[c]
-            vals[e] = (x if x > y else y) - vals[e]
-        if positive:
-            grabbed = [vals[src] for _, src in moves]
-            for (dst, _), val in zip(moves, grabbed):
-                vals[dst] = val
-
-
-def record_steps(vals: list, steps) -> list[bool]:
-    """``run_steps`` that also returns the branch every flip took, in order:
-    True when ``b + d`` was strictly larger.  A twin rather than an option of
-    ``run_steps``, so the word-problem action pays nothing for the record."""
+    exact integers (or floats).  A positive letter flips then relabels; its
+    inverse undoes the relabeling, then replays the flips in reverse.
+    Returns the branch every flip took, in order: True when ``b + d`` was
+    strictly larger."""
     bits: list[bool] = []
     bit = bits.append
     for ops, moves, positive in steps:
@@ -138,7 +132,7 @@ def record_steps(vals: list, steps) -> list[bool]:
 def pass_matrix(size: int, steps, bits) -> list[list[int]]:
     """Integer matrix of one pass of ``steps`` on the cell of ``bits``: the
     linear map the pass applies to every vector whose flips take the
-    branches that ``record_steps`` recorded as ``bits``."""
+    branches that ``run_steps`` returned as ``bits``."""
     rows = [[0] * size for _ in range(size)]
     for i, row in enumerate(rows):
         row[i] = 1

@@ -1,7 +1,7 @@
 """Iteration engine for the curve-action growth loop.
 
-Each iteration is one pass of ``_fan.record_steps`` over the word's steps,
-which also records the branch every flip took; once a pass takes the same
+Each iteration is one pass of ``_fan.run_steps`` over the word's steps,
+which also returns the branch every flip took; once a pass takes the same
 branches as the pass before it, the pass acts on the iterate as one integer
 matrix (``_fan.pass_matrix``), which the estimator certifies.
 
@@ -19,7 +19,7 @@ from __future__ import annotations
 
 import math
 
-from ._fan import record_steps, word_steps
+from ._fan import run_steps, word_steps
 
 RENORM_BITS = 512
 RENORM_TARGET = 256
@@ -57,7 +57,7 @@ class PureEngine:
         out = []
         vals, steps = self.vals, self.steps
         for _ in range(count):
-            bits = record_steps(vals, steps)
+            bits = run_steps(vals, steps)
             self.repeated = bits == self.bits
             self.bits = bits
             self.iterations += 1

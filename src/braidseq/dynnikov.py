@@ -5,12 +5,12 @@ The action is exact integer arithmetic (see ``_fan``); the entropy of a
 braid is the exponential growth rate of the coordinates of an essential
 curve system under iteration.  The action is piecewise linear, and once a
 pass of the word repeats its branches it is one integer matrix; the
-dilatation is certified from an eigenvector of that matrix which the full
-action stretches by it.  The estimator is checked against the exact
-3-braid oracle and against 40-digit linear-piece references in the test
-suite.  Two braids are equal when their permutations and exponent sums
-agree and they move each of the n-1 curves around adjacent punctures to the
-same curve.
+dilatation is certified from an eigenvector of that matrix that is a
+measured lamination, which the full action stretches by it.  The estimator
+is checked against the exact 3-braid oracle and against 40-digit
+linear-piece references in the test suite.  Two braids are equal when
+their permutations and exponent sums agree and they move each of the n-1
+curves around adjacent punctures to the same curve.
 """
 
 from __future__ import annotations
@@ -128,9 +128,12 @@ def entropy_estimate(word: BraidWord, tol: float = DEFAULT_TOL,
     Iterates the exact action one pass at a time.  The flip rule is
     piecewise linear; once a pass takes the same branches as the pass
     before it, the pass acts on the iterate as one integer matrix M, and
-    ``_certify`` looks for an eigenvector of M, near the iterate, that the
-    full piecewise-linear pass stretches by lambda > 1 (Bestvina-Handel,
-    *Topology* 1995; Hall-Yurttas, *Topol. Appl.* 2009).  Only such a
+    ``_certify`` looks for an eigenvector of M, near the iterate, that is
+    a measured lamination and that the full piecewise-linear pass
+    stretches by lambda > 1 (Bestvina-Handel, *Topology* 1995;
+    Hall-Yurttas, *Topol. Appl.* 2009).  For a pseudo-Anosov class
+    log(lambda) is then the entropy; for a reducible class it is the
+    entropy of one pseudo-Anosov component, a lower bound.  Only such a
     certificate, or a return of the orbit to its seed (zero entropy, a
     periodic class), makes an estimate converged.  A failed certificate is
     tried again after 1, 2, 4, ... further passes, so a word that cannot be
@@ -159,7 +162,8 @@ def entropy_estimate(word: BraidWord, tol: float = DEFAULT_TOL,
         if engine.periodic_at is not None:
             return _estimate(engine, 0.0, 0.0, "periodic")
         if engine.repeated and engine.iterations >= retry_at:
-            found = _certify(engine, math.exp(lognorms[-1] - lognorms[-2]), tol)
+            growth = math.exp(lognorms[-1] - lognorms[-2])
+            found = _certify(engine, n, growth, tol)
             if found is not None:
                 lam, residual = found
                 return _estimate(engine, math.log(lam), residual, "linear_piece")
@@ -182,7 +186,7 @@ def _estimate(engine: PureEngine, value: float, last_delta: float,
                            method != "none", method)
 
 
-def _certify(engine: PureEngine, sigma: float,
+def _certify(engine: PureEngine, n: int, sigma: float,
              tol: float) -> tuple[float, float] | None:
     """(lambda, relative residual) certified from the engine's last pass,
     or None.
@@ -190,12 +194,17 @@ def _certify(engine: PureEngine, sigma: float,
     M is the integer matrix of the pass on the cell of its branches.
     Shift-and-invert from the float-scaled iterate refines an eigenvector x
     of M, starting at the shift ``sigma`` and moving the shift to the
-    stretch ratio of the refined vector after each solve.  lambda is
-    accepted when x >= 0, lambda > 1, and the full piecewise-linear pass
-    (``_fan.run_steps`` on floats, which also checks that x lies in the
-    cell) stretches x by lambda with a relative residual at most the gate
-    min(tol, max(1e-12, 1e-15 |M|_inf)): then x is a projectively invariant
-    measured foliation stretched by lambda.  The gate scales with |M|,
+    stretch ratio of the refined vector after each solve.  With x scaled to
+    max |x| = 1 and the gate min(tol, max(1e-12, 1e-15 |M|_inf)), lambda is
+    accepted when x >= -gate, the weights of x on every triangle of the fan
+    satisfy the triangle inequalities up to the gate, lambda > 1, and the
+    full piecewise-linear pass (``_fan.run_steps`` on floats, which also
+    checks that x lies in the cell) stretches x by lambda with a relative
+    residual at most the gate.  Then x is, up to the gate, a projectively
+    invariant measured lamination stretched by lambda: for a pseudo-Anosov
+    class it is the unstable foliation and log(lambda) the entropy; for a
+    reducible class lambda is the dilatation of one pseudo-Anosov
+    component, a lower bound for the entropy.  The gate scales with |M|,
     since float rounding in the pass grows with the size of its entries.
     A vector the pass fixes shows a residual of about lambda - 1, so
     lambda > 1 is only resolved when lambda - 1 exceeds twice the gate.
@@ -205,14 +214,12 @@ def _certify(engine: PureEngine, sigma: float,
     m = _fan.pass_matrix(len(vals), steps, engine.bits)
     norm = max(sum(map(abs, row)) for row in m)
     gate = min(tol, max(1e-12, 1e-15 * norm))
-    core = [j for j, col in enumerate(zip(*m))
-            if col[j] != 1 or any(col[:j]) or any(col[j + 1:])]
-    rows = [list(map(float, map(row.__getitem__, core))) for row in m]
+    rows = [list(map(float, row)) for row in m]
     shift = max(0, max(vals).bit_length() - 60)
     x = [float(v >> shift) for v in vals]
     last = math.inf
     while True:                 # ends: each solve cuts the residual eightfold
-        y = _shifted_solve(rows, core, sigma, x, 1e-16 * norm)
+        y = _shifted_solve(rows, sigma, x, 1e-16 * norm)
         top = max(y, key=abs)
         if not top:
             return None
@@ -226,26 +233,22 @@ def _certify(engine: PureEngine, sigma: float,
         if not lam - 1 > 2 * gate:
             return None
         residual = max(abs(u - lam * t) for u, t in zip(z, x)) / lam
-        if residual <= gate and min(x) >= -gate:
+        if residual <= gate and min(x) >= -gate and all(
+                x[p] + x[q] + x[r] + gate >= 2 * max(x[p], x[q], x[r])
+                for p, q, r in _fan.triangles(n)):
             return lam, residual
         if not residual < last / 8:
             return None
         last, sigma = residual, lam
 
 
-def _shifted_solve(rows: list[list[float]], core: list[int], sigma: float,
+def _shifted_solve(rows: list[list[float]], sigma: float,
                    rhs: list[float], tiny: float) -> list[float]:
-    """Solve (M - sigma I) y = rhs: one LU factorization with partial
-    pivoting, done as Gaussian elimination on the augmented matrix.
-
-    Every column of M outside ``core`` is a unit vector, so its coordinate
-    feeds no other; ``rows`` holds the rows of M restricted to the ``core``
-    columns.  The elimination runs on the core block alone, and each other
-    entry of y follows from its own row.  A zero pivot is nudged to
-    ``tiny``.
-    """
-    size = len(core)
-    a = [rows[i] + [rhs[i]] for i in core]
+    """Solve (M - sigma I) y = rhs, with ``rows`` the rows of M: one LU
+    factorization with partial pivoting, done as Gaussian elimination on
+    the augmented matrix.  A zero pivot is nudged to ``tiny``."""
+    size = len(rows)
+    a = [row + [r] for row, r in zip(rows, rhs)]
     for k in range(size):
         a[k][k] -= sigma
     for k in range(size):
@@ -260,16 +263,10 @@ def _shifted_solve(rows: list[list[float]], core: list[int], sigma: float,
             if f:
                 f /= pivot
                 row[k + 1:] = [u - f * v for u, v in zip(row[k + 1:], tail)]
-    y_core = [0.0] * size
+    y = [0.0] * size
     for k in range(size - 1, -1, -1):
         row = a[k]
-        y_core[k] = (row[size] - sum([u * v for u, v in zip(row[k + 1:size], y_core[k + 1:])])) / row[k]
-    y = [0.0] * len(rows)
-    for i, v in zip(core, y_core):
-        y[i] = v
-    free = (1.0 - sigma) or tiny
-    for i in set(range(len(rows))).difference(core):
-        y[i] = (rhs[i] - sum([u * v for u, v in zip(rows[i], y_core)])) / free
+        y[k] = (row[size] - sum([u * v for u, v in zip(row[k + 1:size], y[k + 1:])])) / row[k]
     return y
 
 

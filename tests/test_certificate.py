@@ -14,7 +14,7 @@ from pathlib import Path
 
 import pytest
 
-from braidseq import dynnikov
+from braidseq import _fan, dynnikov
 from braidseq.dynnikov import DEFAULT_TOL, entropy_estimate
 from braidseq.families import FamilySpec, generate
 from braidseq.standard import StandardForm, class_to_braid
@@ -96,6 +96,25 @@ def test_golden_linear_piece_values(key):
     est = entropy_estimate(_golden_word(key), tol=DEFAULT_TOL, max_iter=4096)
     assert est.converged
     assert abs(est.value - float(GOLDEN_LOGS[key])) <= DEFAULT_TOL
+
+
+@pytest.mark.parametrize("n", range(3, 9))
+def test_curve_weights_satisfy_the_fan_triangle_inequalities(n):
+    # the certificate accepts x only on these inequalities: every edge
+    # bounds two triangles, and the weights of a curve system satisfy them
+    triangles = _fan.triangles(n)
+    edges = [e for tri in triangles for e in tri]
+    assert len(triangles) == 2 * (n + 2) - 2
+    assert sorted(edges) == sorted(2 * list(range(3 * (n + 2) - 3)))
+    word = BraidWord(n, tuple((-1) ** i * (i % (n - 1) + 1)
+                              for i in range(2 * n)))
+    seed = dynnikov.nested_seed(n)
+    vals = _fan.decode(n, seed.a, seed.b)
+    for _ in range(6):
+        _fan.apply_word(vals, word.letters, _fan.letter_programs(n))
+        for tri in triangles:
+            weights = [vals[e] for e in tri]
+            assert 2 * max(weights) <= sum(weights) and sum(weights) % 2 == 0
 
 
 def test_uncertifiable_word_stays_cheap(monkeypatch):
