@@ -13,9 +13,11 @@ fan triangulation (N = n + 2 punctures in a row):
     B_m   lower arc from the m-th puncture to inf, m = 2..N-1
     ER    Q_R -- inf
 
-Each braid generator acts by four edge flips followed by a relabeling of six
-edges; a flip updates one entry by the exact tropical rule
-``e' = max(b + d, a + c) - e``.  All arithmetic is integer and exact.
+``letter_programs`` records each braid generator as four edge flips followed
+by a relabeling of six edges; a flip updates one entry by the exact tropical
+rule ``e' = max(b + d, a + c) - e``.  ``compile_pass`` folds a word's
+relabelings into the storage slots of its flips, so a pass is one flat list
+of flips and one gather.  All arithmetic is integer and exact.
 
 The public chart is the classical one: pairs (a_i, b_i), i = 1..n-2, with
 a_i half the difference of up/down ray crossings at puncture i+1 and b_i
@@ -27,7 +29,7 @@ exact and mutually inverse.
 from __future__ import annotations
 
 from functools import lru_cache
-from operator import add, sub
+from operator import add, itemgetter, sub
 
 
 @lru_cache(maxsize=None)
@@ -94,67 +96,82 @@ def letter_programs(n: int):
     return programs
 
 
-def word_steps(letters, programs) -> list:
-    """The ``(ops, moves, positive)`` steps of a word in acting order
-    (the rightmost letter acts first)."""
-    return [programs[x] + (x > 0,) for x in reversed(letters)]
+PASS_CACHE_SIZE = 4
+_PASSES: dict = {}                      # (size, letters) -> pass, oldest first
 
 
-def run_steps(vals: list, steps) -> list[bool]:
-    """Apply prepared steps in place; the one flip loop.  ``vals`` holds
-    exact integers (or floats).  A positive letter flips then relabels; its
-    inverse undoes the relabeling, then replays the flips in reverse.
-    Returns the branch every flip took, in order: True when ``b + d`` was
-    strictly larger."""
+def compile_pass(size: int, letters, programs) -> tuple:
+    """One pass of a braid word as ``(ops, gather)``, compiled once.
+
+    ``ops`` are the flips of every letter in acting order (the rightmost
+    letter acts first), on storage slots: each letter's relabeling moves
+    no value, but changes the slots the flips after it address.  After the
+    flips, ``vals[:] = gather(vals)`` puts every edge back in its place.
+    """
+    slot = list(range(size))            # slot[i]: where edge i is stored
+    ops = []
+    for x in reversed(letters):
+        flips, moves = programs[x]
+        if x < 0:                       # an inverse relabels first
+            slot = _relabel(slot, moves)
+        ops += [tuple(slot[i] for i in op) for op in flips]
+        if x > 0:
+            slot = _relabel(slot, moves)
+    return tuple(ops), itemgetter(*slot)
+
+
+def _relabel(slot: list, moves) -> list:
+    """Edge ``dst`` takes over what edge ``src`` held, for every move."""
+    out = list(slot)
+    for dst, src in moves:
+        out[dst] = slot[src]
+    return out
+
+
+def run_steps(vals: list, program) -> list[bool]:
+    """Apply a compiled pass in place; the one flip loop.  ``vals`` holds
+    exact integers (or floats).  Returns the branch every flip took, in
+    order: True when ``b + d`` was strictly larger."""
+    ops, gather = program
     bits: list[bool] = []
     bit = bits.append
-    for ops, moves, positive in steps:
-        if not positive:
-            grabbed = [vals[src] for _, src in moves]
-            for (dst, _), val in zip(moves, grabbed):
-                vals[dst] = val
-        for e, a, b, c, d in ops:
-            x = vals[b] + vals[d]
-            y = vals[a] + vals[c]
-            if x > y:
-                vals[e] = x - vals[e]
-                bit(True)
-            else:
-                vals[e] = y - vals[e]
-                bit(False)
-        if positive:
-            grabbed = [vals[src] for _, src in moves]
-            for (dst, _), val in zip(moves, grabbed):
-                vals[dst] = val
+    for e, a, b, c, d in ops:
+        x = vals[b] + vals[d]
+        y = vals[a] + vals[c]
+        if x > y:
+            vals[e] = x - vals[e]
+            bit(True)
+        else:
+            vals[e] = y - vals[e]
+            bit(False)
+    vals[:] = gather(vals)
     return bits
 
 
-def pass_matrix(size: int, steps, bits) -> list[list[int]]:
-    """Integer matrix of one pass of ``steps`` on the cell of ``bits``: the
+def pass_matrix(size: int, program, bits) -> list[list[int]]:
+    """Integer matrix of one compiled pass on the cell of ``bits``: the
     linear map the pass applies to every vector whose flips take the
     branches that ``run_steps`` returned as ``bits``."""
+    ops, gather = program
     rows = [[0] * size for _ in range(size)]
     for i, row in enumerate(rows):
         row[i] = 1
-    branch = iter(bits)
-    for ops, moves, positive in steps:
-        if not positive:
-            grabbed = [rows[src] for _, src in moves]
-            for (dst, _), row in zip(moves, grabbed):
-                rows[dst] = row
-        for e, a, b, c, d in ops:
-            p, q = (b, d) if next(branch) else (a, c)
-            rows[e] = list(map(sub, map(add, rows[p], rows[q]), rows[e]))
-        if positive:
-            grabbed = [rows[src] for _, src in moves]
-            for (dst, _), row in zip(moves, grabbed):
-                rows[dst] = row
-    return rows
+    for (e, a, b, c, d), bit in zip(ops, bits):
+        p, q = (b, d) if bit else (a, c)
+        rows[e] = list(map(sub, map(add, rows[p], rows[q]), rows[e]))
+    return list(gather(rows))
 
 
 def apply_word(vals: list, letters, programs) -> None:
-    """Apply a braid word in place; the rightmost letter acts first."""
-    run_steps(vals, word_steps(letters, programs))
+    """Apply a braid word in place; the rightmost letter acts first.  The
+    last few compiled passes are kept, so that acting on several curves
+    with the same words compiles each word once."""
+    key = (len(vals), tuple(letters))
+    program = _PASSES.pop(key, None) or compile_pass(len(vals), letters, programs)
+    _PASSES[key] = program
+    if len(_PASSES) > PASS_CACHE_SIZE:
+        del _PASSES[next(iter(_PASSES))]
+    run_steps(vals, program)
 
 
 def decode(n: int, avec, bvec) -> list:

@@ -1,7 +1,8 @@
 """Iteration engine for the curve-action growth loop.
 
-Each iteration is one pass of ``_fan.run_steps`` over the word's steps,
-which also returns the branch every flip took; once a pass takes the same
+The word is compiled once (``_fan.compile_pass``) into a flat run of
+flips; each iteration is one ``_fan.run_steps`` over it, which also
+returns the branch every flip took.  Once a pass takes the same
 branches as the pass before it, the pass acts on the iterate as one integer
 matrix (``_fan.pass_matrix``), which the estimator certifies.
 
@@ -19,7 +20,7 @@ from __future__ import annotations
 
 import math
 
-from ._fan import run_steps, word_steps
+from ._fan import compile_pass, run_steps
 
 RENORM_BITS = 512
 RENORM_TARGET = 256
@@ -34,7 +35,7 @@ class PureEngine:
 
     def __init__(self, vals, letters, programs):
         self.vals = list(vals)
-        self.steps = word_steps(letters, programs)
+        self.program = compile_pass(len(self.vals), letters, programs)
         self.scale_bits = 0
         self._start: list | None = list(self.vals)
         self.periodic_at: int | None = None
@@ -55,9 +56,9 @@ class PureEngine:
         whether the pass before it took the same ones.
         """
         out = []
-        vals, steps = self.vals, self.steps
+        vals, program = self.vals, self.program
         for _ in range(count):
-            bits = run_steps(vals, steps)
+            bits = run_steps(vals, program)
             self.repeated = bits == self.bits
             self.bits = bits
             self.iterations += 1

@@ -221,15 +221,14 @@ def entropy_cmd(word, degree, tol, max_iter, as_json, manifest):
 # -- family -----------------------------------------------------------------
 
 def _parse_range(text: str) -> list[int]:
+    lo, dots, hi = text.partition("..")
     try:
-        if ".." in text:
-            lo, hi = text.split("..")
-            values = list(range(int(lo), int(hi) + 1))
-        else:
-            values = [int(text)]
+        values = list(range(int(lo), int(hi) + 1)) if dots else [int(text)]
     except ValueError:
         raise click.UsageError(f"expected a value or range like 1..8; got {text!r}")
-    if not values or any(v < 1 for v in values):
+    if not values:
+        raise click.UsageError(f"the range {text!r} is empty")
+    if min(values) < 1:
         raise click.UsageError("parameters must be >= 1")
     return values
 
@@ -371,9 +370,9 @@ def prongs_cmd(orbit, twist, cls, sweep, epsilon, csv_path):
     xs, ys = cls.split(",")
     values = [None]
     if sweep:
-        var, rng = sweep.split("=")
-        if var.strip() != "p":
-            raise click.UsageError("only p sweeps are supported")
+        var, _, rng = sweep.partition("=")
+        if var.strip() != "p" or not rng or "=" in rng:
+            raise click.UsageError(f"expected --sweep p=LO..HI; got {sweep!r}")
         values = _parse_range(rng)
     rows = []
     for pval in values:

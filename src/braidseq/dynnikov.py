@@ -210,8 +210,8 @@ def _certify(engine: PureEngine, n: int, sigma: float,
     lambda > 1 is only resolved when lambda - 1 exceeds twice the gate.
     An attempt stops once a solve fails to cut the residual eightfold.
     """
-    steps, vals = engine.steps, engine.vals
-    m = _fan.pass_matrix(len(vals), steps, engine.bits)
+    program, vals = engine.program, engine.vals
+    m = _fan.pass_matrix(len(vals), program, engine.bits)
     norm = max(sum(map(abs, row)) for row in m)
     gate = min(tol, max(1e-12, 1e-15 * norm))
     rows = [list(map(float, row)) for row in m]
@@ -228,7 +228,7 @@ def _certify(engine: PureEngine, n: int, sigma: float,
         if not total > 0:
             return None
         z = list(x)
-        _fan.run_steps(z, steps)
+        _fan.run_steps(z, program)
         lam = sum(z) / total
         if not lam - 1 > 2 * gate:
             return None
@@ -246,7 +246,8 @@ def _shifted_solve(rows: list[list[float]], sigma: float,
                    rhs: list[float], tiny: float) -> list[float]:
     """Solve (M - sigma I) y = rhs, with ``rows`` the rows of M: one LU
     factorization with partial pivoting, done as Gaussian elimination on
-    the augmented matrix.  A zero pivot is nudged to ``tiny``."""
+    the augmented matrix, updating only where the pivot row is nonzero.
+    A zero pivot is nudged to ``tiny``."""
     size = len(rows)
     a = [row + [r] for row, r in zip(rows, rhs)]
     for k in range(size):
@@ -257,12 +258,13 @@ def _shifted_solve(rows: list[list[float]], sigma: float,
         a[k], a[p] = a[p], a[k]
         pivot_row = a[k]
         pivot = pivot_row[k] = pivot_row[k] or tiny
-        tail = pivot_row[k + 1:]
+        tail = [(j, v) for j, v in enumerate(pivot_row[k + 1:], k + 1) if v]
         for row in a[k + 1:]:
             f = row[k]
             if f:
                 f /= pivot
-                row[k + 1:] = [u - f * v for u, v in zip(row[k + 1:], tail)]
+                for j, v in tail:
+                    row[j] -= f * v
     y = [0.0] * size
     for k in range(size - 1, -1, -1):
         row = a[k]

@@ -9,7 +9,9 @@ power-iteration estimator reported converged but off by more than tol.
 """
 
 import math
+import random
 import sys
+from fractions import Fraction
 from pathlib import Path
 
 import pytest
@@ -133,3 +135,54 @@ def test_uncertifiable_word_stays_cheap(monkeypatch):
     assert not est.converged and est.method == "none"
     assert est.iterations == 4096
     assert factorizations <= 2 * math.log2(4096)
+
+
+def exact_solve(rows, sigma, rhs):
+    """(M - sigma I) y = rhs by Gaussian elimination over the rationals."""
+    size = len(rows)
+    a = [[Fraction(v) - (Fraction(sigma) if i == j else 0) for j, v in enumerate(row)]
+         + [Fraction(r)] for i, (row, r) in enumerate(zip(rows, rhs))]
+    for k in range(size):
+        p = next(i for i in range(k, size) if a[i][k])
+        a[k], a[p] = a[p], a[k]
+        for row in a[k + 1:]:
+            f = row[k] / a[k][k]
+            row[k:] = [u - f * v for u, v in zip(row[k:], a[k][k:])]
+    y = [Fraction(0)] * size
+    for k in reversed(range(size)):
+        y[k] = (a[k][size] - sum(u * v for u, v in zip(a[k][k + 1:size], y[k + 1:]))) / a[k][k]
+    return y
+
+
+@pytest.mark.parametrize("density", [1.0, 0.5, 0.2])
+def test_shifted_solve_matches_exact_elimination(density):
+    rng = random.Random(5)
+    for size in range(1, 13):
+        for sigma in (0.0, 0.37, -2.5, 1.8125):
+            m = [[rng.randint(-4, 4) if rng.random() < density else 0
+                  for _ in range(size)] for _ in range(size)]
+            for i in range(size):
+                m[i][i] += 9 if rng.random() < 0.3 else 0
+            rhs = [rng.uniform(-1, 1) for _ in range(size)]
+            rows = [list(map(float, row)) for row in m]
+            try:
+                exact = exact_solve(m, sigma, rhs)
+            except StopIteration:               # M - sigma I is singular
+                continue
+            y = dynnikov._shifted_solve(rows, sigma, rhs, 1e-16)
+            assert rows == [list(map(float, row)) for row in m]   # not mutated
+            scale = max(abs(float(v)) for v in exact)
+            assert max(abs(u - float(v)) for u, v in zip(y, exact)) <= 1e-9 * scale
+
+
+def test_shifted_solve_nudges_a_zero_pivot_toward_the_eigenvector():
+    # sigma = 1 is an eigenvalue of M, eigenvector (1, -1, 0); elimination
+    # meets an exact zero pivot, and the nudged solve points along (1, -1, 0)
+    rows = [[2.0, 1.0, 0.0], [1.0, 2.0, 0.0], [0.0, 0.0, 5.0]]
+    with pytest.raises(StopIteration):
+        exact_solve(rows, 1.0, [1.0, 0.0, 0.0])
+    y = dynnikov._shifted_solve(rows, 1.0, [1.0, 0.0, 0.0], 1e-12)
+    top = max(y, key=abs)
+    assert abs(top) > 1e10
+    x = [t / top for t in y]
+    assert x[0] == pytest.approx(-x[1]) and abs(x[2]) < 1e-12

@@ -195,12 +195,23 @@ def test_cone_braid_word():
     ("braid", "linking", "--word", "1 1", "--strand", "3"),
     ("braid", "linking", "--word", "1 1", "--strand", "0"),
     ("prongs", "--class", "1,1", "--twist", "-1"),
+    ("prongs", "--class", "2,1", "--sweep", "q"),
+    ("prongs", "--class", "2,1", "--sweep", "p=1=2"),
+    ("family", "xi", "--p", "3..1"),
 ])
 def test_rejected_input_is_a_usage_error(args):
     res = run(*args)
     assert res.exit_code == 2
     assert "Usage:" in res.output and "Error:" in res.output
     assert res.exc_info[0] is SystemExit      # no traceback escaped
+    assert USAGE_MESSAGES.get(args, "") in res.output
+
+
+USAGE_MESSAGES = {
+    ("prongs", "--class", "2,1", "--sweep", "q"): "expected --sweep p=LO..HI",
+    ("prongs", "--class", "2,1", "--sweep", "p=1=2"): "expected --sweep p=LO..HI",
+    ("family", "xi", "--p", "3..1"): "the range '3..1' is empty",
+}
 
 
 def test_csv_file_and_manifest_match_stdout(tmp_path):

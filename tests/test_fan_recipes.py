@@ -6,14 +6,23 @@ combinatorial triangulation itself and verify, independently of any
 coordinates, that (1) every recorded flip matches the actual square of the
 edge being flipped, with the correct opposite-side pairing, and (2) the
 final triangulation is the base one with the two braided punctures swapped,
-under exactly the frozen relabeling.
+under exactly the frozen relabeling.  A word's compiled pass, which folds
+the relabelings into its flip slots, is checked against replaying the
+recipes letter by letter, and each word is compiled once.
 """
+
+import sys
+from pathlib import Path
 
 from hypothesis import given, settings, strategies as st
 
-from braidseq import _fan
-from braidseq.dynnikov import CurveCoordinates, act
+from braidseq import _fan, _kernel_py
+from braidseq.dynnikov import CurveCoordinates, act, braids_equal, entropy_estimate
 from braidseq.words import BraidWord
+
+sys.path.insert(0, str(Path(__file__).resolve().parent.parent / "perfbench"))
+
+import workloads  # noqa: E402
 
 INF = 0
 
@@ -109,3 +118,82 @@ def test_action_is_positively_homogeneous(n, scale, data):
                                         tuple(scale * x for x in b)))
     assert scaled.a == tuple(scale * x for x in image.a)
     assert scaled.b == tuple(scale * x for x in image.b)
+
+
+def replay_letters(vals, letters, programs):
+    """Reference for a compiled pass: the recipes applied one letter at a
+    time, rightmost first, moving values on every relabeling.  Returns the
+    branch bits and the matrix of the pass on their cell."""
+    rows = [[int(i == j) for j in range(len(vals))] for i in range(len(vals))]
+    bits = []
+
+    def relabel(moves):
+        for target in (vals, rows):
+            moved = [target[src] for _, src in moves]
+            for (dst, _), item in zip(moves, moved):
+                target[dst] = item
+
+    for x in reversed(letters):
+        ops, moves = programs[x]
+        if x < 0:
+            relabel(moves)
+        for e, a, b, c, d in ops:
+            bits.append(vals[b] + vals[d] > vals[a] + vals[c])
+            p, q = (b, d) if bits[-1] else (a, c)
+            vals[e] = vals[p] + vals[q] - vals[e]
+            rows[e] = [u + v - w for u, v, w in zip(rows[p], rows[q], rows[e])]
+        if x > 0:
+            relabel(moves)
+    return bits, rows
+
+
+@settings(max_examples=80)
+@given(st.integers(min_value=2, max_value=9), st.data())
+def test_compiled_pass_equals_the_per_letter_action(n, data):
+    letter = st.integers(min_value=1, max_value=n - 1).flatmap(
+        lambda j: st.sampled_from([j, -j]))
+    letters = tuple(data.draw(st.lists(letter, max_size=12)))
+    size = 3 * (n + 2) - 3
+    ints = data.draw(st.lists(st.integers(-30, 30), min_size=size, max_size=size))
+    programs = _fan.letter_programs(n)
+    ops, gather = _fan.compile_pass(size, (), programs)
+    assert ops == () and list(gather(ints)) == ints
+    program = _fan.compile_pass(size, letters, programs)
+    for start in ([v / 7 for v in ints], ints):
+        vals, expected = list(start), list(start)
+        bits = _fan.run_steps(vals, program)
+        expected_bits, expected_rows = replay_letters(expected, letters, programs)
+        assert vals == expected and bits == expected_bits
+        assert len(bits) == 4 * len(letters)
+    assert _fan.pass_matrix(size, program, bits) == expected_rows
+    image = [sum(m * v for m, v in zip(row, ints)) for row in expected_rows]
+    assert image == vals                        # the pass is M on its cell
+    _fan.apply_word(ints, letters, programs)
+    assert ints == vals
+
+
+def test_each_word_compiles_once_and_the_cache_is_bounded(monkeypatch):
+    compiled = []
+    compile_pass = _fan.compile_pass
+
+    def counting(size, letters, programs):
+        compiled.append(letters)
+        return compile_pass(size, letters, programs)
+
+    monkeypatch.setattr(_fan, "compile_pass", counting)
+    monkeypatch.setattr(_kernel_py, "compile_pass", counting)
+    monkeypatch.setattr(_fan, "_PASSES", {})
+    pairs = workloads.word_problem_pairs(1)
+    pair = pairs[0]
+    assert braids_equal(pair.left, pair.right)
+    assert pair.left.degree == 16
+    assert sorted(compiled) == sorted([pair.left.letters, pair.right.letters])
+    compiled.clear()
+    entropy_estimate(BraidWord(4, (1, -2, 3, -2)))
+    assert len(compiled) == 1
+    for pair in pairs:
+        assert bool(braids_equal(pair.left, pair.right)) == pair.equal
+    assert len(_fan._PASSES) <= _fan.PASS_CACHE_SIZE
+    compiled.clear()
+    assert braids_equal(pairs[0].left, pairs[0].right)
+    assert len(compiled) == 2           # a round's words do not survive it
