@@ -96,10 +96,6 @@ def letter_programs(n: int):
     return programs
 
 
-PASS_CACHE_SIZE = 4
-_PASSES: dict = {}                      # (size, letters) -> pass, oldest first
-
-
 def compile_pass(size: int, letters, programs) -> tuple:
     """One pass of a braid word as ``(ops, gather)``, compiled once.
 
@@ -163,15 +159,8 @@ def pass_matrix(size: int, program, bits) -> list[list[int]]:
 
 
 def apply_word(vals: list, letters, programs) -> None:
-    """Apply a braid word in place; the rightmost letter acts first.  The
-    last few compiled passes are kept, so that acting on several curves
-    with the same words compiles each word once."""
-    key = (len(vals), tuple(letters))
-    program = _PASSES.pop(key, None) or compile_pass(len(vals), letters, programs)
-    _PASSES[key] = program
-    if len(_PASSES) > PASS_CACHE_SIZE:
-        del _PASSES[next(iter(_PASSES))]
-    run_steps(vals, program)
+    """Apply a braid word in place; the rightmost letter acts first."""
+    run_steps(vals, compile_pass(len(vals), letters, programs))
 
 
 def decode(n: int, avec, bvec) -> list:
@@ -243,15 +232,3 @@ def encode(n: int, vec) -> tuple[tuple[int, ...], tuple[int, ...]]:
         bvec.append((left2 - right2) // 2)
     return tuple(avec), tuple(bvec)
 
-
-def round_curve_vector(n: int, lo: int, hi: int) -> tuple[tuple[int, ...], tuple[int, ...]]:
-    """(a, b) chart of the curve enclosing the consecutive punctures lo..hi."""
-    if not 1 <= lo < hi <= n:
-        raise ValueError("need 1 <= lo < hi <= degree")
-    a = [0] * (n - 2)
-    b = [0] * (n - 2)
-    if lo >= 2:
-        b[lo - 2] -= 1
-    if hi <= n - 1:
-        b[hi - 2] += 1
-    return tuple(a), tuple(b)

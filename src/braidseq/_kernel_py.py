@@ -13,7 +13,8 @@ unaffected.  While no renormalization has happened, a return of the orbit
 to its start vector is detected, which certifies zero entropy for periodic
 braids.  The action is a bijection, so x_i = x_j with i < j implies
 x_0 = x_{j-i}: the first repeat of an exact orbit is a return to its start,
-so the start vector is the only one kept.
+so the start vector is the only one kept.  The start vector is a nonempty
+curve system, so no iterate is empty and the norm stays positive.
 """
 
 from __future__ import annotations
@@ -44,10 +45,7 @@ class PureEngine:
         self.repeated = False
 
     def lognorm(self) -> float:
-        norm = sum(self.vals)
-        if norm <= 0:
-            return float("-inf")
-        return math.log(norm) + self.scale_bits * LOG2
+        return math.log(sum(self.vals)) + self.scale_bits * LOG2
 
     def advance(self, count: int) -> list[float]:
         """Apply the word ``count`` times; return the log-norm after each.
@@ -63,9 +61,6 @@ class PureEngine:
             self.bits = bits
             self.iterations += 1
             norm = sum(vals)
-            if norm <= 0:
-                out.append(float("-inf"))
-                continue
             out.append(math.log(norm) + self.scale_bits * LOG2)
             if vals == self._start:
                 self.periodic_at = self.iterations

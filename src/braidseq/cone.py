@@ -35,19 +35,18 @@ class ConeClass:
 
 @dataclass(frozen=True)
 class ConeContext:
-    """Seed data (n, u, epsilon) fixing the cone's norm and orientation."""
+    """Seed data (n, u) fixing the cone's norm."""
 
     n: int
     u: int
-    epsilon: int = 1
 
     def __post_init__(self):
-        if self.n < 3 or self.u < 1 or self.epsilon not in (1, -1):
-            raise ValueError("need n >= 3, u >= 1, epsilon = +-1")
+        if self.n < 3 or self.u < 1:
+            raise ValueError("need n >= 3, u >= 1")
 
     @staticmethod
-    def of_seed(sf: StandardForm, epsilon: int = 1) -> "ConeContext":
-        return ConeContext(sf.degree, sf.u, epsilon)
+    def of_seed(sf: StandardForm) -> "ConeContext":
+        return ConeContext(sf.degree, sf.u)
 
 
 def thurston_norm(ctx: ConeContext, c: ConeClass) -> int:

@@ -9,8 +9,9 @@ dilatation is certified from an eigenvector of that matrix that is a
 measured lamination, which the full action stretches by it.  The estimator
 is checked against the exact 3-braid oracle and against 40-digit
 linear-piece references in the test suite.  Two braids are equal when
-their permutations and exponent sums agree and they move each of the n-1
-curves around adjacent punctures to the same curve.
+their permutations and exponent sums agree and they move each of two
+multicurves to the same multicurve: the curves around adjacent punctures
+{i, i+1} for odd i, and those for even i.
 """
 
 from __future__ import annotations
@@ -57,8 +58,14 @@ class CurveCoordinates:
 
 def round_curve(n: int, lo: int, hi: int) -> CurveCoordinates:
     """The curve enclosing punctures lo..hi (consecutive block)."""
-    a, b = _fan.round_curve_vector(n, lo, hi)
-    return CurveCoordinates(a, b)
+    if not 1 <= lo < hi <= n:
+        raise ValueError("need 1 <= lo < hi <= degree")
+    b = [0] * (n - 2)
+    if lo >= 2:
+        b[lo - 2] -= 1
+    if hi <= n - 1:
+        b[hi - 2] += 1
+    return CurveCoordinates((0,) * (n - 2), tuple(b))
 
 
 def default_seed(n: int) -> CurveCoordinates:
@@ -290,24 +297,35 @@ class EqualityVerdict:
 
 
 def curve_suite(n: int) -> list[tuple[str, CurveCoordinates]]:
-    """The n-1 curves around adjacent punctures {i, i+1}."""
-    return [(f"curve around {{{i}..{i + 1}}}", round_curve(n, i, i + 1))
-            for i in range(1, n)]
+    """The two multicurves made of disjoint curves around adjacent punctures
+    {i, i+1}: one for odd i, one for even i.  Coordinates add over disjoint
+    curves, so their charts are a = 0, b_k = (-1)^k and its negation."""
+    zero = (0,) * (n - 2)
+    odd = tuple((-1) ** k for k in range(n - 2))
+    return [("curves around {i, i+1}, i odd", CurveCoordinates(zero, odd)),
+            ("curves around {i, i+1}, i even",
+             CurveCoordinates(zero, tuple(-x for x in odd)))]
 
 
 def braids_equal(b: BraidWord, c: BraidWord) -> EqualityVerdict:
     """Word-problem verdict: compares permutations, exponent sums and the
-    action on the curve suite; ``distinct`` comes with a witness.
+    action on the two multicurves of ``curve_suite``; ``distinct`` comes
+    with a witness.
 
-    The adjacent curves of ``curve_suite`` fill the disk and no three of
-    them pairwise intersect.  By the Alexander method (Farb-Margalit,
-    *A Primer on Mapping Class Groups*, Prop. 2.8), if ``b c^-1`` fixes
-    all of them, it is a finite-order class of the sphere that has the n
-    punctures and the collapsed boundary as punctures and fixes each of
-    them.  For n >= 3 that is at least 4 fixed punctures, while a
+    Suppose ``b`` and ``c`` have equal permutations and move both
+    multicurves alike, so that c^-1 b fixes both.  Equal permutations make
+    c^-1 b a pure braid.  A pure braid maps a curve around {i, i+1} to a
+    curve around {i, i+1}; the components of each multicurve enclose
+    distinct pairs, so a pure braid that fixes the multicurve fixes each
+    component.  So c^-1 b fixes all n-1 curves around adjacent punctures.
+    These fill the disk and no three of them pairwise intersect.  By the
+    Alexander method (Farb-Margalit, *A Primer on Mapping Class Groups*,
+    Prop. 2.8), c^-1 b is then a finite-order class of the sphere that has
+    the n punctures and the collapsed boundary as punctures and fixes each
+    of them.  For n >= 3 that is at least 4 fixed punctures, while a
     nontrivial finite-order class of the sphere fixes at most 2; so the
-    class is trivial there and ``b c^-1`` is central in B_n, Delta^{2k}.
-    Equal exponent sums force k = 0.  For n = 2 the only adjacent curve is
+    class is trivial there and c^-1 b is central in B_n, Delta^{2k}.  Equal
+    exponent sums force k = 0.  For n = 2 the only adjacent curve is
     boundary-parallel and the exponent sum decides.  Two spherical words
     raise ``ValueError``: the argument decides disk braids, and a word that
     is trivial in SB_n, such as s1 s2 s2 s1 in SB_3, moves disk curves.

@@ -58,7 +58,6 @@ class StandardForm:
     degree: int
     blocks: tuple[tuple[int, ...], ...]
     provenance: tuple[tuple[str, int], ...] = field(default_factory=tuple)
-    seed_degree: int | None = None
     seed_blocks: int | None = None
 
     def __post_init__(self):
@@ -73,8 +72,6 @@ class StandardForm:
                     raise BlockIndexError(
                         f"block letter {x} out of range 1..{self.degree - 2}")
         object.__setattr__(self, "blocks", blocks)
-        if self.seed_degree is None:
-            object.__setattr__(self, "seed_degree", self.degree)
         if self.seed_blocks is None:
             object.__setattr__(self, "seed_blocks", len(blocks))
 
@@ -124,7 +121,7 @@ def full_twist_step(sf: StandardForm, p: int) -> StandardForm:
     blocks = sf.blocks + (delta_word,) * (p * (d - 1))
     return StandardForm(d, blocks,
                         sf.provenance + (("full_twist", p),),
-                        sf.seed_degree, sf.seed_blocks)
+                        sf.seed_blocks)
 
 
 def disk_twist_step(sf: StandardForm, p: int) -> StandardForm:
@@ -141,7 +138,7 @@ def disk_twist_step(sf: StandardForm, p: int) -> StandardForm:
     blocks = tuple(b + suffix for b in sf.blocks)
     return StandardForm(d_new, blocks,
                         sf.provenance + (("disk_twist", p),),
-                        sf.seed_degree, sf.seed_blocks)
+                        sf.seed_blocks)
 
 
 def apply_program(sf: StandardForm, prog: TwistProgram) -> StandardForm:

@@ -38,6 +38,13 @@ def test_tribraid_golden():
     assert "3.7320508075" in res.output
 
 
+def test_tribraid_json():
+    res = run("tribraid", "--word", "-1 2 2", "--json")
+    assert res.exit_code == 0
+    doc = json.loads(res.output)
+    assert doc["trace"] == 4 and doc["matrix"] == [[3, 1], [2, 1]]
+
+
 def test_tribraid_rejects_bad_word():
     res = run("tribraid", "--word", "1 2")
     assert res.exit_code == 2
@@ -49,6 +56,13 @@ def test_entropy_json():
     doc = json.loads(res.output)
     assert doc["converged"] is True and doc["method"] == "linear_piece"
     assert abs(doc["normalized_entropy"] - 2.6339157938) < 1e-6
+
+
+def test_entropy_plain_text():
+    res = run("entropy", "--braid", "B3 -1 2 2")
+    assert res.exit_code == 0
+    assert "converged:    True" in res.output
+    assert "Ent:          2.633915793" in res.output
 
 
 def test_cli_import_loads_no_numerics_library():

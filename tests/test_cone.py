@@ -27,8 +27,6 @@ def test_norm_rejects_zero_and_negative():
 def test_context_validation():
     with pytest.raises(ValueError):
         ConeContext(2, 1)
-    with pytest.raises(ValueError):
-        ConeContext(3, 1, epsilon=0)
 
 
 def test_disk_twist_pushforward_examples():

@@ -123,6 +123,11 @@ def test_full_twist_estimates_to_zero():
         assert est.converged and est.value == 0.0
 
 
+def test_degree_two_estimates_to_zero():
+    est = entropy_estimate(BraidWord(2, (1, 1, 1)))
+    assert (est.value, est.converged, est.method) == (0.0, True, "periodic")
+
+
 def test_periodic_braids_estimate_to_zero():
     for word in (delta(5), rho(6), delta(4) ** 3):
         est = entropy_estimate(word)
@@ -282,9 +287,32 @@ def test_spherical_words_rejected():
                      BraidWord(3, (), spherical=True))
 
 
+def _componentwise_sum(systems):
+    return CurveCoordinates(tuple(map(sum, zip(*(v.a for v in systems)))),
+                            tuple(map(sum, zip(*(v.b for v in systems)))))
+
+
+def _components(n):
+    """The round curves of each multicurve of ``curve_suite(n)``, in order."""
+    return [[round_curve(n, i, i + 1) for i in range(start, n, 2)]
+            for start in (1, 2)]
+
+
 def test_suite_has_expected_size():
-    names = [name for name, _ in curve_suite(5)]
-    assert names == [f"curve around {{{i}..{i + 1}}}" for i in range(1, 5)]
+    for n in range(3, 17):
+        suite = curve_suite(n)
+        assert len(suite) == 2
+        for (_, system), parts in zip(suite, _components(n)):
+            assert system == _componentwise_sum(parts)
+
+
+@settings(max_examples=150)
+@given(st.integers(min_value=3, max_value=12), st.data())
+def test_multicurve_image_is_the_sum_of_component_images(n, data):
+    word = BraidWord(n, data.draw(letters_strategy(n, max_len=24)))
+    for (_, system), parts in zip(curve_suite(n), _components(n)):
+        assert act(word, system) == _componentwise_sum(
+            [act(word, v) for v in parts])
 
 
 def _block_twist(n, lo, hi):

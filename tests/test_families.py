@@ -104,6 +104,13 @@ def test_palindromic_by_construction():
         assert is_skew_palindromic(b * b.skew())
 
 
+def test_skew_palindromic_at_braid_level_only():
+    # s1 s2 s1 skews to s2 s1 s2: a different word, the same braid
+    b = BraidWord(3, (1, 2, 1))
+    assert not is_skew_palindromic(b)
+    assert is_skew_palindromic(b, braid_level=True)
+
+
 def test_sigma1_sigma2_not_palindromic():
     b = BraidWord(3, (1, 2))
     assert not is_palindromic(b)
