@@ -300,8 +300,8 @@ def cone_norm(n, u, cls):
 @cone.command("table")
 @click.option("--seed-blocks", required=True)
 @click.option("--seed-degree", type=int, required=True)
-@click.option("--xmax", type=int, default=4)
-@click.option("--ymax", type=int, default=4)
+@click.option("--xmax", type=click.IntRange(min=1), default=4)
+@click.option("--ymax", type=click.IntRange(min=1), default=4)
 @click.option("--tol", type=float, default=dynnikov.DEFAULT_TOL)
 @click.option("--max-iter", type=int, default=4096)
 @click.option("--csv", "csv_path", type=click.Path(), default=None)

@@ -144,7 +144,8 @@ def entropy_estimate(word: BraidWord, tol: float = DEFAULT_TOL,
     certificate, or a return of the orbit to its seed (zero entropy, a
     periodic class), makes an estimate converged.  A failed certificate is
     tried again after 1, 2, 4, ... further passes, so a word that cannot be
-    certified costs O(log max_iter) factorizations.  Non-convergence is
+    certified costs O(log max_iter) factorizations; an attempt at a pass
+    that left the norm unchanged fails without one.  Non-convergence is
     reported, not raised; it signals reducible-dominated growth or an
     insufficient budget.
     """
@@ -216,7 +217,11 @@ def _certify(engine: PureEngine, n: int, sigma: float,
     A vector the pass fixes shows a residual of about lambda - 1, so
     lambda > 1 is only resolved when lambda - 1 exceeds twice the gate.
     An attempt stops once a solve fails to cut the residual eightfold.
+    At sigma = 1.0, a pass that left the norm unchanged, the attempt fails
+    at once: the solve there is drawn to a vector the pass fixes.
     """
+    if sigma == 1.0:
+        return None
     program, vals = engine.program, engine.vals
     m = _fan.pass_matrix(len(vals), program, engine.bits)
     norm = max(sum(map(abs, row)) for row in m)

@@ -227,17 +227,21 @@ class BraidWord:
     @staticmethod
     def from_text(text: str, degree: int | None = None,
                   spherical: bool = False) -> "BraidWord":
-        """Parse "B3 1 1 -2" or a bare letter list when ``degree`` is given."""
+        """Parse "B3 1 1 -2" or a bare letter list when ``degree`` is given;
+        a header and a ``degree`` that disagree raise ``ValueError``."""
         tokens = text.replace(":", " ").split()
         if tokens and tokens[0][0].upper() in "BS" and not _is_int(tokens[0]):
             head = tokens[0].upper()
             if head.startswith("SB"):
-                spherical, degree = True, int(head[2:])
+                spherical, given = True, int(head[2:])
             elif head.startswith("B"):
-                spherical, degree = False, int(head[1:])
+                spherical, given = False, int(head[1:])
             else:
                 raise ValueError(f"bad header token {tokens[0]!r}")
-            tokens = tokens[1:]
+            if degree not in (None, given):
+                raise ValueError(f"header {tokens[0]!r} has degree {given}, "
+                                 f"not {degree}")
+            degree, tokens = given, tokens[1:]
         letters = tuple(int(t) for t in tokens)
         if degree is None:
             degree = max((abs(x) for x in letters), default=1) + 1

@@ -137,6 +137,45 @@ def test_uncertifiable_word_stays_cheap(monkeypatch):
     assert factorizations <= 2 * math.log2(4096)
 
 
+def test_no_factorization_at_a_unit_shift(monkeypatch):
+    # 17 certificate attempts of the thm5.2 rows come at a pass that left
+    # the norm unchanged; each fails without a pass matrix or a solve, and
+    # the retries keep their passes (test_reproduce_rows_match_reference)
+    shifts, matrices = [], 0
+    solve, pass_matrix = dynnikov._shifted_solve, _fan.pass_matrix
+
+    def recording_solve(rows, sigma, *rest):
+        shifts.append(sigma)
+        return solve(rows, sigma, *rest)
+
+    def counting_matrix(*args):
+        nonlocal matrices
+        matrices += 1
+        return pass_matrix(*args)
+
+    monkeypatch.setattr(dynnikov, "_shifted_solve", recording_solve)
+    monkeypatch.setattr(_fan, "pass_matrix", counting_matrix)
+    for target, _, spec in workloads.reproduce_specs():
+        if target == "thm5.2":
+            est = entropy_estimate(generate(spec).word, tol=1e-8, max_iter=4096)
+            assert est.converged and est.method == "linear_piece"
+    assert 1.0 not in shifts
+    assert matrices == 9
+
+
+def test_reducible_value_is_the_component_its_seed_meets():
+    # sigma1 sigma2^-1 on strands 1-3 (lambda = phi^2) and sigma4^2 sigma5^-2
+    # on strands 4-6 (lambda = 3 + 2 sqrt 2): the default seed meets only the
+    # smaller component, so its certified value is a lower bound
+    word = BraidWord.from_text("B6 1 -2 4 4 -5 -5")
+    phi = (1 + math.sqrt(5)) / 2
+    for seed, lam in ((None, phi ** 2),
+                      (dynnikov.nested_seed(6), 3 + 2 * math.sqrt(2))):
+        est = entropy_estimate(word, seed=seed)
+        assert est.converged and est.method == "linear_piece"
+        assert abs(est.value - math.log(lam)) <= DEFAULT_TOL
+
+
 def exact_solve(rows, sigma, rhs):
     """(M - sigma I) y = rhs by Gaussian elimination over the rationals."""
     size = len(rows)

@@ -212,6 +212,11 @@ def test_cone_braid_word():
     ("prongs", "--class", "2,1", "--sweep", "q"),
     ("prongs", "--class", "2,1", "--sweep", "p=1=2"),
     ("family", "xi", "--p", "3..1"),
+    ("entropy", "--braid", "B3 1 -2", "--degree", "4"),
+    ("cone", "table", "--seed-blocks", "-1 | -1", "--seed-degree", "3",
+     "--xmax", "0"),
+    ("cone", "table", "--seed-blocks", "-1 | -1", "--seed-degree", "3",
+     "--ymax", "0"),
 ])
 def test_rejected_input_is_a_usage_error(args):
     res = run(*args)
@@ -225,6 +230,12 @@ USAGE_MESSAGES = {
     ("prongs", "--class", "2,1", "--sweep", "q"): "expected --sweep p=LO..HI",
     ("prongs", "--class", "2,1", "--sweep", "p=1=2"): "expected --sweep p=LO..HI",
     ("family", "xi", "--p", "3..1"): "the range '3..1' is empty",
+    ("entropy", "--braid", "B3 1 -2", "--degree", "4"):
+        "header 'B3' has degree 3, not 4",
+    ("cone", "table", "--seed-blocks", "-1 | -1", "--seed-degree", "3",
+     "--xmax", "0"): "'--xmax': 0 is not in the range x>=1",
+    ("cone", "table", "--seed-blocks", "-1 | -1", "--seed-degree", "3",
+     "--ymax", "0"): "'--ymax': 0 is not in the range x>=1",
 }
 
 

@@ -170,6 +170,14 @@ def test_from_text_bare_letters_with_degree():
     assert BraidWord.from_text("1 1 -2", degree=3).degree == 3
 
 
+def test_from_text_header_must_agree_with_degree():
+    assert BraidWord.from_text("B3 1 -2", degree=3) == BraidWord(3, (1, -2))
+    assert BraidWord.from_text("SB4 1", degree=4) == BraidWord(4, (1,), True)
+    for text in ("B3 1 -2", "SB3 1 -2"):
+        with pytest.raises(ValueError, match="has degree 3, not 4"):
+            BraidWord.from_text(text, degree=4)
+
+
 # -- linking ------------------------------------------------------------------
 
 def test_full_twist_linking_profile():
