@@ -16,8 +16,8 @@ fan triangulation (N = n + 2 punctures in a row):
 ``letter_programs`` records each braid generator as four edge flips followed
 by a relabeling of six edges; a flip updates one entry by the exact tropical
 rule ``e' = max(b + d, a + c) - e``.  ``compile_pass`` folds a word's
-relabelings into the storage slots of its flips, so a pass is one flat list
-of flips and one gather.  All arithmetic is integer and exact.
+relabelings into the slots of its flips with per-letter getters, so a pass
+is a flat list of flips and one gather.  All arithmetic is integer and exact.
 
 The public chart is the classical one: pairs (a_i, b_i), i = 1..n-2, with
 a_i half the difference of up/down ray crossings at puncture i+1 and b_i
@@ -103,25 +103,25 @@ def compile_pass(size: int, letters, programs) -> tuple:
     letter acts first), on storage slots: each letter's relabeling moves
     no value, but changes the slots the flips after it address.  After the
     flips, ``vals[:] = gather(vals)`` puts every edge back in its place.
+    Compiling costs more than one run, so each letter's program becomes
+    C-level getters on ``slot`` (where each edge is stored), once per word.
     """
-    slot = list(range(size))            # slot[i]: where edge i is stored
-    ops = []
-    for x in reversed(letters):
+    table = {}
+    for x in set(letters):
         flips, moves = programs[x]
-        if x < 0:                       # an inverse relabels first
-            slot = _relabel(slot, moves)
-        ops += [tuple(slot[i] for i in op) for op in flips]
-        if x > 0:
-            slot = _relabel(slot, moves)
+        perm = list(range(size))
+        for dst, src in moves:
+            perm[dst] = src
+        table[x] = (x < 0, itemgetter(*perm), *(itemgetter(*op) for op in flips))
+    slot, ops = tuple(range(size)), []
+    for x in reversed(letters):
+        inverse, relabel, f1, f2, f3, f4 = table[x]
+        if inverse:                     # an inverse relabels first
+            slot = relabel(slot)
+        ops += f1(slot), f2(slot), f3(slot), f4(slot)
+        if not inverse:
+            slot = relabel(slot)
     return tuple(ops), itemgetter(*slot)
-
-
-def _relabel(slot: list, moves) -> list:
-    """Edge ``dst`` takes over what edge ``src`` held, for every move."""
-    out = list(slot)
-    for dst, src in moves:
-        out[dst] = slot[src]
-    return out
 
 
 def run_steps(vals: list, program) -> list[bool]:

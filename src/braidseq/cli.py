@@ -100,7 +100,7 @@ def braid():
 @click.option("--manifest", type=click.Path(), default=None)
 def braid_info(word, degree, spherical, as_json, manifest):
     """Permutation, fixed points, exponent sum and symmetry verdicts."""
-    b = BraidWord.from_text(word, degree=degree, spherical=spherical)
+    b = BraidWord.from_text(word, degree=degree, spherical=spherical or None)
     perm = b.permutation()
     info = {
         "word": b.to_text(),
@@ -307,18 +307,17 @@ def cone_norm(n, u, cls):
 @click.option("--csv", "csv_path", type=click.Path(), default=None)
 def cone_table(seed_blocks, seed_degree, xmax, ymax, tol, max_iter, csv_path):
     """(x, y, norm, ent, Ent) over primitive interior classes."""
-    from math import gcd
     seed = StandardForm.from_blocks_text(seed_blocks, seed_degree)
     ctx = ConeContext.of_seed(seed)
     rows = []
     for x in range(1, xmax + 1):
         for y in range(1, ymax + 1):
-            if gcd(x, y) != 1:
+            cls = ConeClass(x, y)
+            if not cls.is_primitive():
                 continue
-            sf = class_to_braid(seed, x, y)
-            w = sf.to_braid_word()
+            w = class_to_braid(seed, x, y).to_braid_word()
             est = dynnikov.entropy_estimate(w, tol=tol, max_iter=max_iter)
-            norm = thurston_norm(ctx, ConeClass(x, y))
+            norm = thurston_norm(ctx, cls)
             rows.append([x, y, norm, repr(est.value), repr(norm * est.value),
                          est.converged])
     out = _csv_text(["x", "y", "norm", "ent", "Ent", "converged"], rows)
@@ -422,7 +421,7 @@ def spin_check(family_name, p):
 @click.option("--spherical", is_flag=True, default=False)
 def spin_lift(word, degree, spherical):
     """Lift any braid word and print the q0/q1 verdicts."""
-    b = BraidWord.from_text(word, degree=degree, spherical=spherical)
+    b = BraidWord.from_text(word, degree=degree, spherical=spherical or None)
     lifted = lift_braid(b)
     g = lifted.genus
     click.echo(f"genus {g}; preserves q0: {preserves_form(lifted, q0(g))}; "

@@ -226,26 +226,27 @@ class BraidWord:
 
     @staticmethod
     def from_text(text: str, degree: int | None = None,
-                  spherical: bool = False) -> "BraidWord":
+                  spherical: bool | None = None) -> "BraidWord":
         """Parse "B3 1 1 -2" or a bare letter list when ``degree`` is given;
-        a header and a ``degree`` that disagree raise ``ValueError``."""
+        a header that disagrees with ``degree`` or ``spherical`` raises
+        ``ValueError``.  With no header, ``spherical=None`` is a disk braid."""
         tokens = text.replace(":", " ").split()
         if tokens and tokens[0][0].upper() in "BS" and not _is_int(tokens[0]):
             head = tokens[0].upper()
-            if head.startswith("SB"):
-                spherical, given = True, int(head[2:])
-            elif head.startswith("B"):
-                spherical, given = False, int(head[1:])
-            else:
+            sphere = head.startswith("SB")
+            if not (sphere or head.startswith("B")):
                 raise ValueError(f"bad header token {tokens[0]!r}")
+            given = int(head[2 if sphere else 1:])
             if degree not in (None, given):
                 raise ValueError(f"header {tokens[0]!r} has degree {given}, "
                                  f"not {degree}")
-            degree, tokens = given, tokens[1:]
+            if spherical not in (None, sphere):
+                raise ValueError(f"header {tokens[0]!r} has spherical={sphere}")
+            degree, spherical, tokens = given, sphere, tokens[1:]
         letters = tuple(int(t) for t in tokens)
         if degree is None:
             degree = max((abs(x) for x in letters), default=1) + 1
-        return BraidWord(degree, letters, spherical)
+        return BraidWord(degree, letters, bool(spherical))
 
 
 def _is_int(token: str) -> bool:

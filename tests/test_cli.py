@@ -217,6 +217,8 @@ def test_cone_braid_word():
      "--xmax", "0"),
     ("cone", "table", "--seed-blocks", "-1 | -1", "--seed-degree", "3",
      "--ymax", "0"),
+    ("braid", "info", "--word", "B3 1 -2", "--spherical"),
+    ("spin", "lift", "--word", "B3 1 1", "--spherical"),
 ])
 def test_rejected_input_is_a_usage_error(args):
     res = run(*args)
@@ -236,6 +238,10 @@ USAGE_MESSAGES = {
      "--xmax", "0"): "'--xmax': 0 is not in the range x>=1",
     ("cone", "table", "--seed-blocks", "-1 | -1", "--seed-degree", "3",
      "--ymax", "0"): "'--ymax': 0 is not in the range x>=1",
+    ("braid", "info", "--word", "B3 1 -2", "--spherical"):
+        "header 'B3' has spherical=False",
+    ("spin", "lift", "--word", "B3 1 1", "--spherical"):
+        "header 'B3' has spherical=False",
 }
 
 

@@ -8,7 +8,8 @@ edge being flipped, with the correct opposite-side pairing, and (2) the
 final triangulation is the base one with the two braided punctures swapped,
 under exactly the frozen relabeling.  A word's compiled pass, which folds
 the relabelings into its flip slots, is checked against replaying the
-recipes letter by letter, and each estimate or act compiles its word once.
+recipes letter by letter and against a per-letter reference compile on
+long words, and each estimate or act compiles its word once.
 """
 
 import sys
@@ -18,6 +19,7 @@ from hypothesis import given, settings, strategies as st
 
 from braidseq import _fan, _kernel_py
 from braidseq.dynnikov import CurveCoordinates, act, braids_equal, entropy_estimate
+from braidseq.families import generate
 from braidseq.words import BraidWord
 
 sys.path.insert(0, str(Path(__file__).resolve().parent.parent / "perfbench"))
@@ -170,6 +172,42 @@ def test_compiled_pass_equals_the_per_letter_action(n, data):
     assert image == vals                        # the pass is M on its cell
     _fan.apply_word(ints, letters, programs)
     assert ints == vals
+
+
+def reference_compile(size, letters, programs):
+    """A word's pass compiled one letter at a time: a slot list, a copying
+    relabel on every letter and one tuple per flip."""
+    def relabel(slot, moves):
+        out = list(slot)
+        for dst, src in moves:
+            out[dst] = slot[src]
+        return out
+
+    slot, ops = list(range(size)), []
+    for x in reversed(letters):
+        flips, moves = programs[x]
+        if x < 0:
+            slot = relabel(slot, moves)
+        ops += [tuple(slot[i] for i in op) for op in flips]
+        if x > 0:
+            slot = relabel(slot, moves)
+    return tuple(ops), slot
+
+
+def test_long_words_compile_like_the_per_letter_reference():
+    words = [w for pair in workloads.word_problem_pairs(1)
+             for w in (pair.left, pair.right)]
+    assert {w.degree for w in words} == {16}
+    words += [generate(spec).word for _, _, spec in workloads.reproduce_specs()]
+    assert len(words) == 32 + 17
+    assert max(len(w) for w in words) >= 300
+    for w in words:
+        size = 3 * (w.degree + 2) - 3
+        programs = _fan.letter_programs(w.degree)
+        ops, gather = _fan.compile_pass(size, w.letters, programs)
+        expected_ops, expected_slot = reference_compile(size, w.letters, programs)
+        assert ops == expected_ops, w.to_text()
+        assert list(gather(list(range(size)))) == expected_slot, w.to_text()
 
 
 def test_each_estimate_and_act_compiles_its_word_once(monkeypatch):

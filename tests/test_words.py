@@ -176,6 +176,17 @@ def test_from_text_header_must_agree_with_degree():
     for text in ("B3 1 -2", "SB3 1 -2"):
         with pytest.raises(ValueError, match="has degree 3, not 4"):
             BraidWord.from_text(text, degree=4)
+    # the same holds for spherical; None (the default) takes the header's
+    assert BraidWord.from_text("SB3 1 2", spherical=True) == BraidWord(3, (1, 2), True)
+    assert BraidWord.from_text("B3 1 2", spherical=False) == BraidWord(3, (1, 2))
+    # with no header, None (the default) is a disk braid
+    assert BraidWord.from_text("1 2") == BraidWord(3, (1, 2))
+    assert BraidWord.from_text("1 2", spherical=True) == BraidWord(3, (1, 2), True)
+    assert BraidWord.from_text("SB3 1 2").spherical
+    with pytest.raises(ValueError, match="'B3' has spherical=False"):
+        BraidWord.from_text("B3 1 -2", spherical=True)
+    with pytest.raises(ValueError, match="'SB3' has spherical=True"):
+        BraidWord.from_text("SB3 1 -2", degree=3, spherical=False)
 
 
 # -- linking ------------------------------------------------------------------
