@@ -7,25 +7,31 @@ codes: 0 success, 1 when an estimate behind the output did not converge
 (the output is still written; ``entropy`` switches to JSON diagnostics),
 2 usage errors, which include every input the library rejects with a
 ``ValueError``.
+
+Start-up cost is paid on every run, so the module level imports only what
+the estimating commands (``entropy``, ``family``, ``cone table``,
+``reproduce``) run and what option defaults read.  Cone, spin, 3-braid and
+prong code, ``json`` and ``hashlib`` are imported inside the commands that
+use them, by name, since ``cone`` and ``spin`` are also group names here.
 """
 
 from __future__ import annotations
 
 import csv
-import hashlib
 import io
-import json
 import sys
 
 import click
 
-from . import __version__, dynnikov, foliation
-from .cone import ConeClass, ConeContext, thurston_norm
+from . import __version__, dynnikov
 from .families import FamilySpec, generate
-from .spin import lift_braid, preserves_form, q0, q1
 from .standard import StandardForm, class_to_braid
-from .tribraid import exact_dilatation, transition_matrix
 from .words import BraidWord, linking_profile, make_generator
+
+
+def _json_text(doc: dict) -> str:
+    import json
+    return json.dumps(doc, indent=2, sort_keys=True)
 
 
 def _emit(command: str, out: str, manifest_path: str | None = None,
@@ -40,6 +46,7 @@ def _emit(command: str, out: str, manifest_path: str | None = None,
     else:
         click.echo(out, nl=not out.endswith("\n"))
     if manifest_path:
+        import hashlib
         doc = {
             "command": command,
             "arguments": click.get_current_context().params,
@@ -47,8 +54,7 @@ def _emit(command: str, out: str, manifest_path: str | None = None,
             "outputs_digest": hashlib.sha256(out.encode()).hexdigest(),
         }
         with open(manifest_path, "w") as fh:
-            json.dump(doc, fh, indent=2, sort_keys=True)
-            fh.write("\n")
+            fh.write(_json_text(doc) + "\n")
     if not converged:
         sys.exit(1)
 
@@ -114,7 +120,7 @@ def braid_info(word, degree, spherical, as_json, manifest):
         "skew_palindromic_word": b.skew().letters == b.letters,
     }
     if as_json:
-        out = json.dumps(info, indent=2, sort_keys=True)
+        out = _json_text(info)
     else:
         cyc = " ".join("(" + " ".join(map(str, c)) + ")" for c in info["cycles"])
         out = "\n".join([
@@ -158,6 +164,7 @@ def braid_generator(kind, n, j):
 @click.option("--manifest", type=click.Path(), default=None)
 def tribraid_cmd(word, as_json, manifest):
     """Exact dilatation of a 3-braid pA word."""
+    from .tribraid import exact_dilatation, transition_matrix
     b = BraidWord.from_text(word, degree=3)
     m = transition_matrix(b)
     lam = exact_dilatation(b)
@@ -170,7 +177,7 @@ def tribraid_cmd(word, as_json, manifest):
         "log_dilatation": lam.log,
     }
     if as_json:
-        out = json.dumps(info, indent=2, sort_keys=True)
+        out = _json_text(info)
     else:
         out = "\n".join([
             f"trace:        {info['trace']}",
@@ -207,7 +214,7 @@ def entropy_cmd(word, degree, tol, max_iter, as_json, manifest):
         "tol": tol,
     }
     if as_json or not est.converged:
-        out = json.dumps(info, indent=2, sort_keys=True)
+        out = _json_text(info)
     else:
         out = "\n".join([
             f"log lambda:   {est.value!r}",
@@ -292,6 +299,7 @@ def cone():
 @click.option("--class", "cls", required=True, help="x,y")
 def cone_norm(n, u, cls):
     """Thurston norm of a class in the seed's cone."""
+    from .cone import ConeClass, ConeContext, thurston_norm
     x, y = _parse_class(cls)
     val = thurston_norm(ConeContext(n, u), ConeClass(x, y))
     click.echo(f"{val}")
@@ -307,6 +315,7 @@ def cone_norm(n, u, cls):
 @click.option("--csv", "csv_path", type=click.Path(), default=None)
 def cone_table(seed_blocks, seed_degree, xmax, ymax, tol, max_iter, csv_path):
     """(x, y, norm, ent, Ent) over primitive interior classes."""
+    from .cone import ConeClass, ConeContext, thurston_norm
     seed = StandardForm.from_blocks_text(seed_blocks, seed_degree)
     ctx = ConeContext.of_seed(seed)
     rows = []
@@ -351,6 +360,7 @@ def cone_braid(seed_blocks, seed_degree, cls):
 @click.option("--csv", "csv_path", type=click.Path(), default=None)
 def prongs_cmd(orbit, twist, cls, sweep, epsilon, csv_path):
     """Prong counts of the stable foliation at the two boundary tori."""
+    from . import foliation
     if orbit in foliation.PRESETS:
         data = foliation.PRESETS[orbit]
     else:
@@ -399,6 +409,7 @@ def spin():
 @click.option("--p", type=int, required=True)
 def spin_check(family_name, p):
     """Lift the spin family word and verify form preservation."""
+    from .spin import lift_braid, preserves_form, q0, q1
     name = "o" if family_name == "odd" else "v"
     member = generate(FamilySpec(name, p))
     lifted = lift_braid(member.companion)
@@ -421,6 +432,7 @@ def spin_check(family_name, p):
 @click.option("--spherical", is_flag=True, default=False)
 def spin_lift(word, degree, spherical):
     """Lift any braid word and print the q0/q1 verdicts."""
+    from .spin import lift_braid, preserves_form, q0, q1
     b = BraidWord.from_text(word, degree=degree, spherical=spherical or None)
     lifted = lift_braid(b)
     g = lifted.genus

@@ -12,7 +12,6 @@ power), a disk-twist step re-embeds the braid at degree d + p*u.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from fractions import Fraction
 from math import gcd
 
 from .words import BraidWord, full_twist, rho
@@ -43,8 +42,10 @@ class TwistProgram:
     def __len__(self) -> int:
         return len(self.entries)
 
-    def value(self) -> Fraction:
-        """The continued fraction p_1 + 1/(p_2 + 1/(... + 1/p_j))."""
+    def value(self):
+        """The continued fraction p_1 + 1/(p_2 + 1/(... + 1/p_j)), exact as a
+        ``Fraction``."""
+        from fractions import Fraction
         acc = Fraction(self.entries[-1])
         for p in reversed(self.entries[:-1]):
             acc = p + 1 / acc if acc else Fraction(p)
@@ -93,11 +94,6 @@ class StandardForm:
             letters.extend(b)
             letters.extend((d - 1, d - 1))
         return BraidWord(d, tuple(letters))
-
-    def to_json_dict(self) -> dict:
-        return {"degree": self.degree,
-                "blocks": [list(b) for b in self.blocks],
-                "provenance": [list(p) for p in self.provenance]}
 
     @staticmethod
     def from_blocks_text(text: str, degree: int) -> "StandardForm":

@@ -11,8 +11,8 @@ i.e. the last letter of a word is the bottom crossing of the diagram.
 
 from __future__ import annotations
 
-import json
 from dataclasses import dataclass, field
+
 
 class DegreeMismatch(ValueError):
     """Raised when combining braids of different degree or sphericity."""
@@ -213,16 +213,6 @@ class BraidWord:
     def to_text(self) -> str:
         head = f"{'SB' if self.spherical else 'B'}{self.degree}"
         return " ".join([head] + [str(x) for x in self.letters])
-
-    def to_json(self) -> str:
-        return json.dumps({"degree": self.degree, "spherical": self.spherical,
-                           "letters": list(self.letters)})
-
-    @staticmethod
-    def from_json(text: str) -> "BraidWord":
-        obj = json.loads(text)
-        return BraidWord(int(obj["degree"]), tuple(int(x) for x in obj["letters"]),
-                         bool(obj.get("spherical", False)))
 
     @staticmethod
     def from_text(text: str, degree: int | None = None,

@@ -65,16 +65,118 @@ def test_entropy_plain_text():
     assert "Ent:          2.633915793" in res.output
 
 
+SRC = str(Path(__file__).resolve().parent.parent / "src")
+
+
+def fresh(*args, cwd=None):
+    """Run ``python ARGS`` in a new interpreter that imports the package from
+    this tree."""
+    return subprocess.run([sys.executable, *args], capture_output=True,
+                          text=True, timeout=60, cwd=cwd,
+                          env={**os.environ, "PYTHONPATH": SRC})
+
+
 def test_cli_import_loads_no_numerics_library():
     # numpy alone would add about 12 MB of resident memory and 0.16 s of
     # start-up to every command
     code = ("import sys, braidseq.cli; "
             "print(sorted({'numpy', 'mpmath', 'sympy'} & set(sys.modules)))")
-    src = str(Path(__file__).resolve().parent.parent / "src")
-    out = subprocess.run([sys.executable, "-c", code], capture_output=True,
-                         text=True, check=True, timeout=60,
-                         env={**os.environ, "PYTHONPATH": src})
+    out = fresh("-c", code)
+    assert out.returncode == 0, out.stderr
     assert out.stdout.strip() == "[]"
+
+
+def test_cli_import_loads_only_what_estimating_commands_run():
+    # every run compiles and loads these; cone, spin, 3-braid and prong code,
+    # json and hashlib load only in the commands that use them
+    code = ("import sys, braidseq.cli; "
+            "print(sorted(m for m in sys.modules if m.startswith('braidseq'))); "
+            "print(sorted({'json', 'hashlib', 'fractions', 'decimal'}"
+            " & set(sys.modules)))")
+    out = fresh("-c", code)
+    assert out.returncode == 0, out.stderr
+    modules = ["braidseq", "braidseq._fan", "braidseq._kernel_py",
+               "braidseq.cli", "braidseq.dynnikov", "braidseq.families",
+               "braidseq.standard", "braidseq.words"]
+    assert out.stdout.splitlines() == [repr(modules), "[]"]
+
+
+# stdout, and the manifest where one is asked for, of one command per import
+# deferred out of the module level, each in a fresh interpreter
+DEFERRED_GOLDENS = [
+    (["tribraid", "--word", "-1 2", "--json"], """\
+{
+  "dilatation": "(1/2)*(3 + sqrt(5))",
+  "dilatation_decimal": "2.61803398874989484820",
+  "log_dilatation": 0.9624236501192058,
+  "matrix": [
+    [
+      2,
+      1
+    ],
+    [
+      1,
+      1
+    ]
+  ],
+  "trace": 3,
+  "word": "B3 -1 2"
+}
+""", None),
+    (["cone", "norm", "--n", "3", "--u", "1", "--class", "1,1"], "3\n", None),
+    (["prongs", "--class", "2,1"],
+     "p,x,y,axis_prongs,strand_prongs,fill\n-,2,1,2,4,safe\n", None),
+    (["spin", "lift", "--word", "1 2"],
+     "genus 1; preserves q0: False; preserves q1: True\n", None),
+    (["braid", "info", "--word", "1 -2", "--json", "--manifest", "m.json"], """\
+{
+  "cycles": [
+    [
+      1,
+      2,
+      3
+    ]
+  ],
+  "degree": 3,
+  "exponent_sum": 0,
+  "fixed_points": [],
+  "length": 2,
+  "palindromic_word": false,
+  "permutation": [
+    2,
+    3,
+    1
+  ],
+  "skew_palindromic_word": false,
+  "word": "B3 1 -2"
+}
+""", """\
+{
+  "arguments": {
+    "as_json": true,
+    "degree": null,
+    "manifest": "m.json",
+    "spherical": false,
+    "word": "1 -2"
+  },
+  "command": "braid info",
+  "outputs_digest": "f83a2656bbd13a9161c3918c87f797976e01ae34ea4426b49ecf0194b8574132",
+  "tool_version": "0.1.0"
+}
+"""),
+]
+
+
+@pytest.mark.parametrize("args, stdout, manifest", DEFERRED_GOLDENS,
+                         ids=["tribraid", "cone-norm", "prongs", "spin-lift",
+                              "manifest"])
+def test_deferred_import_commands_in_fresh_interpreter(args, stdout, manifest,
+                                                       tmp_path):
+    out = fresh("-m", "braidseq.cli", *args, cwd=tmp_path)
+    assert out.returncode == 0, out.stderr
+    assert out.stdout == stdout
+    if manifest is not None:
+        assert (tmp_path / "m.json").read_bytes() == manifest.encode()
 
 
 @pytest.mark.parametrize("args, header", [

@@ -307,12 +307,6 @@ def test_degree_law_all_small_seeds():
                     assert out.degree - 1 == (n - 1) * x + u * y
 
 
-def test_json_dict_shape():
-    d = SEED_32.to_json_dict()
-    assert d["degree"] == 3 and d["blocks"] == [[-1], [-1]]
-    assert d["provenance"] == []
-
-
 def test_blocks_text_parsing():
     sf = StandardForm.from_blocks_text("-1 | -1", 3)
     assert sf.blocks == ((-1,), (-1,))

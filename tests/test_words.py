@@ -161,11 +161,6 @@ def test_spherical_text_round_trip():
     assert BraidWord.from_text(b.to_text()) == b
 
 
-def test_json_round_trip():
-    b = BraidWord(4, (1, -3, 2))
-    assert BraidWord.from_json(b.to_json()) == b
-
-
 def test_from_text_bare_letters_with_degree():
     assert BraidWord.from_text("1 1 -2", degree=3).degree == 3
 
