@@ -5,57 +5,72 @@ and the reproduction runs.
 Output is deterministic: JSON for single objects, CSV for sweeps.  Exit
 codes: 0 success, 1 when an estimate behind the output did not converge
 (the output is still written; ``entropy`` switches to JSON diagnostics),
-2 usage errors, which include every input the library rejects with a
-``ValueError``.
+2 usage errors: every input the library rejects with a ``ValueError`` and
+every output path that cannot be written.
 
-Start-up cost is paid on every run, so the module level imports only what
-the estimating commands (``entropy``, ``family``, ``cone table``,
-``reproduce``) run and what option defaults read.  Cone, spin, 3-braid and
-prong code, ``json`` and ``hashlib`` are imported inside the commands that
-use them, by name, since ``cone`` and ``spin`` are also group names here.
+One path per job: ``_estimate`` is the only caller of the estimator,
+``_emit`` the only writer of output and the one place exit 1 is decided,
+and ``_Command.invoke`` the only place a ``ValueError`` becomes a usage error.
+
+Start-up is paid on every run, so the module level imports only what the
+estimating commands and option defaults need; cone, spin, 3-braid and
+prong code, ``json`` and ``hashlib`` load inside the commands that use
+them, by name, since ``cone`` and ``spin`` are also group names here.
 """
 
 from __future__ import annotations
 
 import csv
 import io
+import math
 import sys
 
 import click
 
 from . import __version__, dynnikov
-from .families import FamilySpec, generate
+from .families import FamilySpec, generate, is_palindromic, is_skew_palindromic
 from .standard import StandardForm, class_to_braid
 from .words import BraidWord, linking_profile, make_generator
 
 
 def _json_text(doc: dict) -> str:
     import json
-    return json.dumps(doc, indent=2, sort_keys=True)
+    return json.dumps(doc, indent=2, sort_keys=True, allow_nan=False)
+
+
+def _estimate(word: BraidWord, tol: float, max_iter: int):
+    """The estimate of ``word`` and its normalized entropy, (degree - 1) *
+    value; a non-converged estimate makes ``_emit`` exit 1."""
+    est = dynnikov.entropy_estimate(word, tol=tol, max_iter=max_iter)
+    if not est.converged:
+        click.get_current_context().meta["braidseq.unconverged"] = True
+    return est, (word.degree - 1) * est.value
 
 
 def _emit(command: str, out: str, manifest_path: str | None = None,
-          csv_path: str | None = None, converged: bool = True):
-    """Write ``out`` to ``csv_path`` (or stdout), then its manifest, whose
-    arguments are the command's declared parameters; exit 1 when an
-    estimate behind ``out`` did not converge."""
-    if csv_path:
-        with open(csv_path, "w") as fh:
-            fh.write(out)
-        click.echo(f"wrote {csv_path}")
-    else:
-        click.echo(out, nl=not out.endswith("\n"))
+          csv_path: str | None = None):
+    """Write ``out`` to ``csv_path`` (or stdout) and its manifest of the
+    command's declared parameters, files first so that an unwritable path
+    prints nothing; exit 1 when an estimate behind ``out`` did not converge."""
+    ctx = click.get_current_context()
+    files = {csv_path: out} if csv_path else {}
     if manifest_path:
         import hashlib
-        doc = {
+        files[manifest_path] = _json_text({
             "command": command,
-            "arguments": click.get_current_context().params,
+            "arguments": ctx.params,
             "tool_version": __version__,
             "outputs_digest": hashlib.sha256(out.encode()).hexdigest(),
-        }
-        with open(manifest_path, "w") as fh:
-            fh.write(_json_text(doc) + "\n")
-    if not converged:
+        }) + "\n"
+    for path, body in files.items():
+        try:
+            with open(path, "w") as fh:
+                fh.write(body)
+        except OSError as exc:
+            raise ValueError(f"cannot write {path}: {exc.strerror}") from exc
+    text = f"wrote {csv_path}\n" if csv_path else out
+    click.echo(text, nl=not text.endswith("\n"))
+    if ctx.meta.get("braidseq.unconverged"):
         sys.exit(1)
 
 
@@ -116,8 +131,8 @@ def braid_info(word, degree, spherical, as_json, manifest):
         "permutation": list(perm.images),
         "cycles": [list(c) for c in perm.cycles()],
         "fixed_points": list(perm.fixed_points()),
-        "palindromic_word": b.rev().letters == b.letters,
-        "skew_palindromic_word": b.skew().letters == b.letters,
+        "palindromic_word": is_palindromic(b),
+        "skew_palindromic_word": is_skew_palindromic(b),
     }
     if as_json:
         out = _json_text(info)
@@ -143,7 +158,7 @@ def braid_linking(word, degree, strand):
     rows = [[" ".join(map(str, cyc)), lk] for cyc, lk in prof.components]
     out = _csv_text(["component", "linking_number"], rows)
     out += f"u,{prof.u}\nverdict,{prof.verdict}\nconclusive,{prof.conclusive}"
-    click.echo(out)
+    _emit("braid linking", out)
 
 
 @braid.command("generator")
@@ -153,7 +168,7 @@ def braid_linking(word, degree, strand):
 @click.option("--j", type=int, required=True)
 def braid_generator(kind, n, j):
     """Literal word of a named element of B_n."""
-    click.echo(make_generator(kind, n, j).to_text())
+    _emit("braid generator", make_generator(kind, n, j).to_text())
 
 
 # -- tribraid ---------------------------------------------------------------
@@ -200,13 +215,14 @@ def tribraid_cmd(word, as_json, manifest):
 def entropy_cmd(word, degree, tol, max_iter, as_json, manifest):
     """Entropy estimate log(lambda) and normalized entropy of a braid."""
     b = BraidWord.from_text(word, degree=degree)
-    est = dynnikov.entropy_estimate(b, tol=tol, max_iter=max_iter)
+    est, ent = _estimate(b, tol, max_iter)
     info = {
         "word": b.to_text(),
         "value": est.value,
-        "normalized_entropy": (b.degree - 1) * est.value,
+        "normalized_entropy": ent,
         "iterations": est.iterations,
-        "last_delta": est.last_delta,
+        # undefined (inf) before two per-pass growth rates exist
+        "last_delta": est.last_delta if math.isfinite(est.last_delta) else None,
         "accumulated_scale": est.accumulated_scale,
         "converged": est.converged,
         "method": est.method,
@@ -218,11 +234,11 @@ def entropy_cmd(word, degree, tol, max_iter, as_json, manifest):
     else:
         out = "\n".join([
             f"log lambda:   {est.value!r}",
-            f"Ent:          {(b.degree - 1) * est.value!r}",
+            f"Ent:          {ent!r}",
             f"iterations:   {est.iterations}",
             f"converged:    {est.converged}",
         ])
-    _emit("entropy", out, manifest, converged=est.converged)
+    _emit("entropy", out, manifest)
 
 
 # -- family -----------------------------------------------------------------
@@ -232,11 +248,11 @@ def _parse_range(text: str) -> list[int]:
     try:
         values = list(range(int(lo), int(hi) + 1)) if dots else [int(text)]
     except ValueError:
-        raise click.UsageError(f"expected a value or range like 1..8; got {text!r}")
+        raise ValueError(f"expected a value or range like 1..8; got {text!r}")
     if not values:
-        raise click.UsageError(f"the range {text!r} is empty")
+        raise ValueError(f"the range {text!r} is empty")
     if min(values) < 1:
-        raise click.UsageError("parameters must be >= 1")
+        raise ValueError("parameters must be >= 1")
     return values
 
 
@@ -257,25 +273,20 @@ def family_cmd(name, p_range, seed_blocks, seed_degree, pre_twist,
     seed = None
     if seed_blocks is not None:
         if seed_degree is None:
-            raise click.UsageError("--seed-degree required with --seed-blocks")
+            raise ValueError("--seed-degree required with --seed-blocks")
         seed = StandardForm.from_blocks_text(seed_blocks, seed_degree)
     header = ["p", "degree", "word"]
     if with_entropy:
         header += ["ent", "Ent", "converged"]
     rows = []
-    converged = True
     for p in _parse_range(p_range):
-        member = generate(FamilySpec(name, p, seed=seed, pre_twist=pre_twist))
-        w = member.word
+        w = generate(FamilySpec(name, p, seed=seed, pre_twist=pre_twist)).word
         row = [p, w.degree, " ".join(map(str, w.letters))]
         if with_entropy:
-            est = dynnikov.entropy_estimate(w, tol=tol, max_iter=max_iter)
-            row += [repr(est.value), repr((w.degree - 1) * est.value),
-                    est.converged]
-            converged = converged and est.converged
+            est, ent = _estimate(w, tol, max_iter)
+            row += [repr(est.value), repr(ent), est.converged]
         rows.append(row)
-    out = _csv_text(header, rows)
-    _emit(f"family {name}", out, manifest, csv_path, converged)
+    _emit(f"family {name}", _csv_text(header, rows), manifest, csv_path)
 
 
 # -- cone -------------------------------------------------------------------
@@ -285,7 +296,7 @@ def _parse_class(text: str) -> tuple[int, int]:
         x, y = text.split(",")
         return int(x), int(y)
     except ValueError:
-        raise click.UsageError(f"expected a class like 5,14; got {text!r}")
+        raise ValueError(f"expected a class like 5,14; got {text!r}")
 
 
 @main.group()
@@ -301,8 +312,7 @@ def cone_norm(n, u, cls):
     """Thurston norm of a class in the seed's cone."""
     from .cone import ConeClass, ConeContext, thurston_norm
     x, y = _parse_class(cls)
-    val = thurston_norm(ConeContext(n, u), ConeClass(x, y))
-    click.echo(f"{val}")
+    _emit("cone norm", str(thurston_norm(ConeContext(n, u), ConeClass(x, y))))
 
 
 @cone.command("table")
@@ -324,14 +334,13 @@ def cone_table(seed_blocks, seed_degree, xmax, ymax, tol, max_iter, csv_path):
             cls = ConeClass(x, y)
             if not cls.is_primitive():
                 continue
-            w = class_to_braid(seed, x, y).to_braid_word()
-            est = dynnikov.entropy_estimate(w, tol=tol, max_iter=max_iter)
-            norm = thurston_norm(ctx, cls)
-            rows.append([x, y, norm, repr(est.value), repr(norm * est.value),
-                         est.converged])
+            # class_to_braid asserts norm = degree - 1, so Ent = norm * ent
+            est, ent = _estimate(class_to_braid(seed, x, y).to_braid_word(),
+                                 tol, max_iter)
+            rows.append([x, y, thurston_norm(ctx, cls), repr(est.value),
+                         repr(ent), est.converged])
     out = _csv_text(["x", "y", "norm", "ent", "Ent", "converged"], rows)
-    _emit("cone table", out, csv_path=csv_path,
-          converged=all(row[-1] for row in rows))
+    _emit("cone table", out, csv_path=csv_path)
 
 
 @cone.command("braid")
@@ -342,8 +351,7 @@ def cone_braid(seed_blocks, seed_degree, cls):
     """Monodromy braid word of a primitive cone class."""
     seed = StandardForm.from_blocks_text(seed_blocks, seed_degree)
     x, y = _parse_class(cls)
-    sf = class_to_braid(seed, x, y)
-    click.echo(sf.to_braid_word().to_text())
+    _emit("cone braid", class_to_braid(seed, x, y).to_braid_word().to_text())
 
 
 # -- prongs -----------------------------------------------------------------
@@ -365,7 +373,7 @@ def prongs_cmd(orbit, twist, cls, sweep, epsilon, csv_path):
         data = foliation.PRESETS[orbit]
     else:
         if orbit.count(":") != 1:
-            raise click.UsageError(
+            raise ValueError(
                 f"expected axis:strand classes like 1,0:2,1 or one of "
                 f"{sorted(foliation.PRESETS)}; got {orbit!r}")
         axis_txt, strand_txt = orbit.split(":")
@@ -375,20 +383,20 @@ def prongs_cmd(orbit, twist, cls, sweep, epsilon, csv_path):
     for _ in range(twist):
         data = foliation.compose_orbit_full_twist(data, 1)
     if cls.count(",") != 1:
-        raise click.UsageError(f"expected a class like 2,1 or p,1; got {cls!r}")
+        raise ValueError(f"expected a class like 2,1 or p,1; got {cls!r}")
     xs, ys = cls.split(",")
     values = [None]
     if sweep:
         var, _, rng = sweep.partition("=")
         if var.strip() != "p" or not rng or "=" in rng:
-            raise click.UsageError(f"expected --sweep p=LO..HI; got {sweep!r}")
+            raise ValueError(f"expected --sweep p=LO..HI; got {sweep!r}")
         values = _parse_range(rng)
     rows = []
     for pval in values:
         x = int(xs) if xs.strip() != "p" else pval
         y = int(ys) if ys.strip() != "p" else pval
         if x is None or y is None:
-            raise click.UsageError("class contains p but no --sweep given")
+            raise ValueError("class contains p but no --sweep given")
         axis_p, strand_p = foliation.prong_counts(data, epsilon, x, y)
         rows.append([pval if pval is not None else "-", x, y, axis_p, strand_p,
                      foliation.puncture_fill_validity(strand_p)])
@@ -414,15 +422,13 @@ def spin_check(family_name, p):
     member = generate(FamilySpec(name, p))
     lifted = lift_braid(member.companion)
     g = lifted.genus
-    ok0 = preserves_form(lifted, q0(g))
-    ok1 = preserves_form(lifted, q1(g))
     word = " ".join(f"t{t}" if t > 0 else f"t{-t}^-1" for t in lifted.letters)
-    click.echo("\n".join([
+    _emit("spin check", "\n".join([
         f"family:     {name}_{p} (companion {member.companion.to_text()})",
         f"genus:      {g}",
         f"lift:       {word}",
-        f"preserves q0: {ok0}",
-        f"preserves q1: {ok1}",
+        f"preserves q0: {preserves_form(lifted, q0(g))}",
+        f"preserves q1: {preserves_form(lifted, q1(g))}",
     ]))
 
 
@@ -436,8 +442,8 @@ def spin_lift(word, degree, spherical):
     b = BraidWord.from_text(word, degree=degree, spherical=spherical or None)
     lifted = lift_braid(b)
     g = lifted.genus
-    click.echo(f"genus {g}; preserves q0: {preserves_form(lifted, q0(g))}; "
-               f"preserves q1: {preserves_form(lifted, q1(g))}")
+    _emit("spin lift", f"genus {g}; preserves q0: {preserves_form(lifted, q0(g))}; "
+                       f"preserves q1: {preserves_form(lifted, q1(g))}")
 
 
 # -- reproduce --------------------------------------------------------------
@@ -451,30 +457,24 @@ def spin_lift(word, degree, spherical):
 @click.option("--manifest", type=click.Path(), default=None)
 def reproduce_cmd(target, pmax, tol, max_iter, csv_path, manifest):
     """End-to-end convergence experiments behind the headline sequences."""
-    import math
     if target == "thm1.1":
         family, seed = "z", None
         column, footer = "abs_error_vs_limit", "# limit 2*log(2+sqrt(3)) = "
         limit = 2 * math.log(2 + math.sqrt(3))
-        converged = True
     else:
         family, seed = "beta", StandardForm(3, ((-1,), (-1,)))
         column, footer = "abs_error_vs_Ent_b1", "# Ent(b_1) = "
         b1 = generate(FamilySpec("b_p", 1, seed=seed)).word
-        est = dynnikov.entropy_estimate(b1, tol=tol, max_iter=max_iter)
-        limit = (b1.degree - 1) * est.value
-        converged = est.converged
+        limit = _estimate(b1, tol, max_iter)[1]
     rows: list[list] = []
     for p in range(1, pmax + 1):
         w = generate(FamilySpec(family, p, seed=seed)).word
-        est = dynnikov.entropy_estimate(w, tol=tol, max_iter=max_iter)
-        ent_n = (w.degree - 1) * est.value
-        rows.append([p, w.degree, repr(est.value), repr(ent_n),
-                     repr(abs(ent_n - limit)), est.converged])
-        converged = converged and est.converged
+        est, ent = _estimate(w, tol, max_iter)
+        rows.append([p, w.degree, repr(est.value), repr(ent),
+                     repr(abs(ent - limit)), est.converged])
     header = ["p", "degree", "ent", "Ent", column, "converged"]
     out = _csv_text(header, rows) + f"{footer}{limit!r}\n"
-    _emit(f"reproduce {target}", out, manifest, csv_path, converged)
+    _emit(f"reproduce {target}", out, manifest, csv_path)
 
 
 if __name__ == "__main__":

@@ -152,6 +152,8 @@ def entropy_estimate(word: BraidWord, tol: float = DEFAULT_TOL,
     if max_iter < 1 or not tol > 0:
         raise ValueError(f"need max_iter >= 1 and tol > 0; "
                          f"got max_iter={max_iter}, tol={tol}")
+    if math.isinf(tol):
+        raise ValueError(f"need a finite tol; got tol={tol}")
     if word.spherical:
         raise ValueError("estimator acts on disk braids; compare via shift")
     n = word.degree

@@ -38,7 +38,6 @@ class OrbitData:
 
     c_axis: TorusClass
     c_strand: TorusClass
-    source: str = "user"
 
     def __post_init__(self):
         if self.c_axis.p == 0:
@@ -49,8 +48,7 @@ class OrbitData:
 
 #: closed-orbit classes for b = s1^-1 s2^2 s1^-1 s2^2 in B_3 (3-increasing,
 #: u = 2), read off its train track: [c_A] = (1,0), [c_3] = (2,1).
-PRESET_SIGMA1I_SQ = OrbitData(TorusClass(1, 0), TorusClass(2, 1),
-                              source="3-braid -1 2 2 -1 2 2")
+PRESET_SIGMA1I_SQ = OrbitData(TorusClass(1, 0), TorusClass(2, 1))
 
 PRESETS = {"sigma1i-sq": PRESET_SIGMA1I_SQ}
 
@@ -87,8 +85,7 @@ def compose_orbit_full_twist(orbit: OrbitData, k: int) -> OrbitData:
     if k < 1:
         raise ValueError("full twist power must be >= 1")
     return OrbitData(orbit.c_axis + TorusClass(0, k),
-                     orbit.c_strand + TorusClass(k, 0),
-                     source=f"{orbit.source} + {k} full twist(s)")
+                     orbit.c_strand + TorusClass(k, 0))
 
 
 def puncture_fill_validity(prongs: int) -> str:

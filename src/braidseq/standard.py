@@ -11,7 +11,7 @@ power), a disk-twist step re-embeds the braid at degree d + p*u.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from math import gcd
 
 from .words import BraidWord, full_twist, rho
@@ -58,7 +58,6 @@ class StandardForm:
 
     degree: int
     blocks: tuple[tuple[int, ...], ...]
-    provenance: tuple[tuple[str, int], ...] = field(default_factory=tuple)
     seed_blocks: int | None = None
 
     def __post_init__(self):
@@ -115,9 +114,7 @@ def full_twist_step(sf: StandardForm, p: int) -> StandardForm:
     d = sf.degree
     delta_word = tuple(range(1, d - 1))
     blocks = sf.blocks + (delta_word,) * (p * (d - 1))
-    return StandardForm(d, blocks,
-                        sf.provenance + (("full_twist", p),),
-                        sf.seed_blocks)
+    return StandardForm(d, blocks, sf.seed_blocks)
 
 
 def disk_twist_step(sf: StandardForm, p: int) -> StandardForm:
@@ -132,9 +129,7 @@ def disk_twist_step(sf: StandardForm, p: int) -> StandardForm:
     d_new = d + p * sf.u
     suffix = tuple(range(d - 1, d_new - 1))
     blocks = tuple(b + suffix for b in sf.blocks)
-    return StandardForm(d_new, blocks,
-                        sf.provenance + (("disk_twist", p),),
-                        sf.seed_blocks)
+    return StandardForm(d_new, blocks, sf.seed_blocks)
 
 
 def apply_program(sf: StandardForm, prog: TwistProgram) -> StandardForm:

@@ -10,7 +10,6 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from fractions import Fraction
 
 from .words import BraidWord
 
@@ -98,10 +97,11 @@ class ExactDilatation:
         return _log_quadratic(self.trace)
 
     def approx(self, digits: int = 30) -> str:
-        scale = 10 ** (digits + 5)
+        """lambda truncated to ``digits`` decimals, by integer arithmetic."""
+        scale, unit = 10 ** (digits + 5), 10 ** digits
         s = math.isqrt(self.discriminant * scale * scale)
-        val = Fraction(self.trace * scale + s, 2 * scale)
-        return _format_fraction(val, digits)
+        q = (self.trace * scale + s) * unit // (2 * scale)
+        return f"{q // unit}.{q % unit:0{digits}d}"
 
     def __str__(self) -> str:
         return f"(1/2)*({self.trace} + sqrt({self.discriminant}))"
@@ -119,25 +119,10 @@ def exact_dilatation(word: BraidWord) -> ExactDilatation:
 
 def _log_quadratic(trace: int) -> float:
     """log((tr + sqrt(tr^2 - 4)) / 2), stable for huge traces."""
-    disc = trace * trace - 4
-    if trace.bit_length() <= 500:
-        scale = 1 << 160
-        s = math.isqrt(disc * scale * scale)
-        num = trace * scale + s
-        return math.log(num) - math.log(2 * scale)
-    # For enormous traces, log lambda ~ log trace; correct via 1/trace series.
-    t = Fraction(trace)
-    corr = 1 / (t * t)
-    return (math.log(trace)
-            + math.log1p(float(-corr)) / 2
-            - float(1 / (t * t)) / 2)
-
-
-def _format_fraction(x: Fraction, digits: int) -> str:
-    whole, rem = divmod(x.numerator, x.denominator)
-    out = [str(whole), "."]
-    for _ in range(digits):
-        rem *= 10
-        d, rem = divmod(rem, x.denominator)
-        out.append(str(d))
-    return "".join(out)
+    if trace.bit_length() > 500:
+        # log lambda = log tr - 1/tr^2 - ...; the correction is below
+        # 2^-1000, far under one ulp (2^-44) of log tr >= 346
+        return math.log(trace)
+    scale = 1 << 160
+    s = math.isqrt((trace * trace - 4) * scale * scale)
+    return math.log(trace * scale + s) - math.log(2 * scale)

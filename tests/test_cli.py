@@ -1,6 +1,8 @@
+import ast
 import hashlib
 import json
 import os
+import shlex
 import subprocess
 import sys
 from pathlib import Path
@@ -8,11 +10,19 @@ from pathlib import Path
 import pytest
 from click.testing import CliRunner
 
+from braidseq import cli
 from braidseq.cli import main
 
 
 def run(*args):
     return CliRunner().invoke(main, list(args))
+
+
+def strict_json(text):
+    """``json.loads`` that rejects NaN and Infinity, which RFC 8259 lacks."""
+    def reject(name):
+        raise ValueError(f"{name} is not JSON")
+    return json.loads(text, parse_constant=reject)
 
 
 def test_braid_info_golden():
@@ -56,6 +66,15 @@ def test_entropy_json():
     doc = json.loads(res.output)
     assert doc["converged"] is True and doc["method"] == "linear_piece"
     assert abs(doc["normalized_entropy"] - 2.6339157938) < 1e-6
+
+
+@pytest.mark.parametrize("flags", [(), ("--json",)], ids=["diagnostics", "json"])
+def test_undefined_last_delta_is_json_null(flags):
+    # one pass gives no per-pass growth rate to compare
+    res = run("entropy", "--braid", "1 -2", "--max-iter", "1", *flags)
+    assert res.exit_code == 1
+    doc = strict_json(res.output)
+    assert doc["converged"] is False and doc["last_delta"] is None
 
 
 def test_entropy_plain_text():
@@ -321,11 +340,16 @@ def test_cone_braid_word():
      "--ymax", "0"),
     ("braid", "info", "--word", "B3 1 -2", "--spherical"),
     ("spin", "lift", "--word", "B3 1 1", "--spherical"),
+    ("entropy", "--braid", "1 -2", "--tol", "inf"),
+    ("family", "xi", "--p", "1", "--csv", "/nonexistent/x.csv"),
+    ("family", "xi", "--p", "1", "--csv", "/tmp"),
+    ("tribraid", "--word", "-1 2", "--manifest", "/nonexistent/d/m.json"),
 ])
 def test_rejected_input_is_a_usage_error(args):
     res = run(*args)
     assert res.exit_code == 2
-    assert "Usage:" in res.output and "Error:" in res.output
+    assert res.output.startswith("Usage:")    # no output precedes the error
+    assert "Error:" in res.output
     assert res.exc_info[0] is SystemExit      # no traceback escaped
     assert USAGE_MESSAGES.get(args, "") in res.output
 
@@ -344,7 +368,22 @@ USAGE_MESSAGES = {
         "header 'B3' has spherical=False",
     ("spin", "lift", "--word", "B3 1 1", "--spherical"):
         "header 'B3' has spherical=False",
+    ("entropy", "--braid", "1 -2", "--tol", "inf"): "need a finite tol",
+    ("family", "xi", "--p", "1", "--csv", "/nonexistent/x.csv"):
+        "cannot write /nonexistent/x.csv: No such file or directory",
+    ("family", "xi", "--p", "1", "--csv", "/tmp"):
+        "cannot write /tmp: Is a directory",
+    ("tribraid", "--word", "-1 2", "--manifest", "/nonexistent/d/m.json"):
+        "cannot write /nonexistent/d/m.json: No such file or directory",
 }
+
+
+def test_manifest_that_is_not_json_is_a_usage_error(tmp_path):
+    # --tol is only read with --with-entropy, but the manifest records it
+    path = tmp_path / "m.json"
+    res = run("family", "xi", "--p", "1", "--tol", "inf", "--manifest", str(path))
+    assert res.exit_code == 2 and res.output.startswith("Usage:")
+    assert not path.exists()
 
 
 def test_csv_file_and_manifest_match_stdout(tmp_path):
@@ -361,3 +400,102 @@ def test_csv_file_and_manifest_match_stdout(tmp_path):
     assert doc["arguments"]["p_range"] == "1..2"
     declared = {param.name for param in main.commands["family"].params}
     assert set(doc["arguments"]) == declared
+
+
+# exact stdout of commands that write through ``_emit`` or estimate through
+# ``_estimate``; all exit 0
+EMIT_GOLDENS = [
+    ('braid linking --word "1 2 2 3 3 4" --degree 5 --strand 3', """\
+component,linking_number
+1 2,1
+4 5,1
+u,2
+verdict,increasing
+conclusive,True
+"""),
+    ("braid generator --kind rho --n 3 --j 3", "B3 1 2 2\n"),
+    ("cone norm --n 3 --u 2 --class 5,14", "38\n"),
+    ('cone table --seed-blocks "-1" --seed-degree 3 --xmax 2 --ymax 2', """\
+x,y,norm,ent,Ent,converged
+1,1,3,0.9624236501192069,2.887270950357621,True
+1,2,4,0.8314429455293103,3.3257717821172412,True
+2,1,5,0.5435350724978704,2.7176753624893517,True
+"""),
+    ("spin check --family even --p 3", """\
+family:     v_3 (companion SB12 2 3 4 5 6 7 8 9 10 11 2 3 4 5 6 7 8 9 10 11 11 11 11)
+genus:      5
+lift:       t2 t3 t4 t5 t6 t7 t8 t9 t10 t11 t2 t3 t4 t5 t6 t7 t8 t9 t10 t11 t11 t11 t11
+preserves q0: True
+preserves q1: False
+"""),
+    ('spin lift --word "SB8 2 3 4 5 6 7 4 5 6 7 7"',
+     "genus 3; preserves q0: False; preserves q1: True\n"),
+    ('family beta --p 1..2 --seed-blocks "-1 | -1" --seed-degree 3 --with-entropy',
+     "p,degree,word,ent,Ent,converged\n"
+     "1,7,-1 2 3 4 5 6 6 -1 2 3 4 5 6 6 1 2 3 4 5 6 6 1 2 3 4 5 6 6,"
+     "0.9624236501192079,5.774541900715247,True\n"
+     "2,11,-1 2 3 4 5 6 7 8 9 10 10 -1 2 3 4 5 6 7 8 9 10 10 "
+     "1 2 3 4 5 6 7 8 9 10 10 1 2 3 4 5 6 7 8 9 10 10,"
+     "0.6045416380110363,6.045416380110363,True\n"),
+    ("reproduce thm5.2 --pmax 2", """\
+p,degree,ent,Ent,abs_error_vs_Ent_b1,converged
+1,7,0.9624236501192079,5.774541900715247,0.8770016635192457,True
+2,11,0.6045416380110363,6.045416380110363,0.60612718412413,True
+# Ent(b_1) = 6.651543564234493
+"""),
+    ('entropy --braid "B3 -1 2 2"', """\
+log lambda:   1.3169578969248186
+Ent:          2.633915793849637
+iterations:   3
+converged:    True
+"""),
+]
+
+
+@pytest.mark.parametrize("line, stdout", EMIT_GOLDENS,
+                         ids=[line.split(" --")[0] for line, _ in EMIT_GOLDENS])
+def test_emit_goldens(line, stdout):
+    res = run(*shlex.split(line))
+    assert res.exit_code == 0
+    assert res.output == stdout
+
+
+def test_cone_braid_readme_golden():
+    # B39: four blocks of 38 letters each followed by s_38^2; kept as a digest
+    res = run("cone", "braid", "--seed-blocks", "-1 | -1", "--seed-degree", "3",
+              "--class", "5,14")
+    assert res.exit_code == 0
+    assert len(res.output) == 870 and res.output.startswith("B39 -1 2 3 ")
+    assert hashlib.sha256(res.output.encode()).hexdigest() == \
+        "224eba1c129610b5815665f23d1e479ce35e0d912de57a95f696e0c16d3746d2"
+
+
+def _mentions(name: str) -> set[str]:
+    """Scopes of cli.py (``Class.method`` for methods, ``<module>`` at top
+    level) whose code names ``name``, as an attribute, a name or an import."""
+    found = set()
+
+    def visit(node, scope):
+        for child in ast.iter_child_nodes(node):
+            inner = scope
+            if isinstance(child, (ast.FunctionDef, ast.ClassDef)):
+                inner = scope + (child.name,)
+            named = (child.attr if isinstance(child, ast.Attribute) else
+                     child.id if isinstance(child, ast.Name) else
+                     child.name if isinstance(child, ast.alias) else None)
+            if named == name:
+                found.add(".".join(inner) or "<module>")
+            visit(child, inner)
+
+    visit(ast.parse(Path(cli.__file__).read_text()), ())
+    return found
+
+
+@pytest.mark.parametrize("name, owner", [
+    ("echo", "_emit"),                     # one writer
+    ("exit", "_emit"),                     # one exit-1 rule
+    ("UsageError", "_Command.invoke"),     # one error boundary
+    ("entropy_estimate", "_estimate"),     # one estimate path
+])
+def test_cli_has_one_path_per_job(name, owner):
+    assert _mentions(name) == {owner}

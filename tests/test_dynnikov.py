@@ -187,6 +187,12 @@ def test_inverse_symmetry():
     assert abs(e1.value - e2.value) < 1e-8
 
 
+@pytest.mark.parametrize("tol", [0.0, -1.0, math.nan, math.inf])
+def test_non_positive_or_non_finite_tol_rejected(tol):
+    with pytest.raises(ValueError):
+        entropy_estimate(BraidWord(3, (-1, 2)), tol=tol)
+
+
 def test_spherical_input_rejected():
     with pytest.raises(ValueError):
         entropy_estimate(BraidWord(3, (-1, 2), spherical=True))

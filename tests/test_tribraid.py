@@ -93,6 +93,23 @@ def test_decimal_expansion():
     assert lam.approx(12).startswith("3.732050807568")
 
 
+@pytest.mark.parametrize("trace, digits", [
+    (3, "2.618033988749894848204586834365"),
+    (4, "3.732050807568877293527446341505"),
+    (18, "17.944271909999158785636694674925"),
+    (123456789, "123456788.999999991899999926289998797797"),
+    (2 ** 64 + 3, "18446744073709551618.999999999999999999945789891375"),
+    (10 ** 40 + 7, "1" + "0" * 39 + "6." + "9" * 30),
+])
+def test_approx_goldens(trace, digits):
+    # truncated, not rounded: every digit comes from integer arithmetic
+    assert ExactDilatation(trace).approx(30) == digits
+
+
+def test_log_of_a_trace_above_500_bits():
+    assert repr(ExactDilatation(2 ** 600 + 1).log) == "415.88830833596717"
+
+
 def test_estimator_agrees_on_sample():
     for letters in [(-1, 2), (-1, 2, 2), (-1, -1, 2, 2), (-1, 2, 2, -1, 2)]:
         exact = exact_dilatation(pa(letters)).log
