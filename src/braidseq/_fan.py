@@ -16,7 +16,7 @@ fan triangulation (N = n + 2 punctures in a row):
 ``letter_programs`` records each braid generator as four edge flips followed
 by a relabeling of six edges; a flip updates one entry by the exact tropical
 rule ``e' = max(b + d, a + c) - e``.  ``compile_pass`` folds a word's
-relabelings into the slots of its flips with per-letter getters, so a pass
+relabelings in place into the one slot list its flips address, so a pass
 is a flat list of flips and one gather.  All arithmetic is integer and exact.
 
 The public chart is the classical one: pairs (a_i, b_i), i = 1..n-2, with
@@ -100,27 +100,23 @@ def compile_pass(size: int, letters, programs) -> tuple:
     """One pass of a braid word as ``(ops, gather)``, compiled once.
 
     ``ops`` are the flips of every letter in acting order (the rightmost
-    letter acts first), on storage slots: each letter's relabeling moves
-    no value, but changes the slots the flips after it address.  After the
-    flips, ``vals[:] = gather(vals)`` puts every edge back in its place.
-    Compiling costs more than one run, so each letter's program becomes
-    C-level getters on ``slot`` (where each edge is stored), once per word.
+    letter acts first) on storage slots.  A letter's relabeling moves no
+    value; it permutes six entries of ``slot`` (where each edge is stored)
+    in place.  ``vals[:] = gather(vals)`` then puts every edge back.
+    Compiling costs about two runs on small coordinates.
     """
-    table = {}
-    for x in set(letters):
-        flips, moves = programs[x]
-        perm = list(range(size))
-        for dst, src in moves:
-            perm[dst] = src
-        table[x] = (x < 0, itemgetter(*perm), *(itemgetter(*op) for op in flips))
-    slot, ops = tuple(range(size)), []
+    slot, ops = list(range(size)), []
     for x in reversed(letters):
-        inverse, relabel, f1, f2, f3, f4 = table[x]
-        if inverse:                     # an inverse relabels first
-            slot = relabel(slot)
-        ops += f1(slot), f2(slot), f3(slot), f4(slot)
-        if not inverse:
-            slot = relabel(slot)
+        flips, ((d1, s1), (d2, s2), (d3, s3), (d4, s4), (d5, s5), (d6, s6)) = \
+            programs[x]
+        if x < 0:                       # an inverse relabels first
+            slot[d1], slot[d2], slot[d3], slot[d4], slot[d5], slot[d6] = \
+                slot[s1], slot[s2], slot[s3], slot[s4], slot[s5], slot[s6]
+        for e, a, b, c, d in flips:
+            ops.append((slot[e], slot[a], slot[b], slot[c], slot[d]))
+        if x > 0:
+            slot[d1], slot[d2], slot[d3], slot[d4], slot[d5], slot[d6] = \
+                slot[s1], slot[s2], slot[s3], slot[s4], slot[s5], slot[s6]
     return tuple(ops), itemgetter(*slot)
 
 

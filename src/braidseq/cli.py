@@ -275,6 +275,7 @@ def family_cmd(name, p_range, seed_blocks, seed_degree, pre_twist,
         if seed_degree is None:
             raise ValueError("--seed-degree required with --seed-blocks")
         seed = StandardForm.from_blocks_text(seed_blocks, seed_degree)
+    dynnikov.check_budget(tol, max_iter)   # --manifest records it either way
     header = ["p", "degree", "word"]
     if with_entropy:
         header += ["ent", "Ent", "converged"]

@@ -127,6 +127,12 @@ class EstimatorDiverged(RuntimeError):
     """Estimate did not converge within the iteration budget."""
 
 
+def check_budget(tol: float, max_iter: int) -> None:
+    """The estimator's budget rule: a finite tol > 0 and max_iter >= 1."""
+    if max_iter < 1 or not 0 < tol < math.inf:
+        raise ValueError(f"need a finite tol > 0, max_iter >= 1; got {tol}, {max_iter}")
+
+
 def entropy_estimate(word: BraidWord, tol: float = DEFAULT_TOL,
                      max_iter: int = DEFAULT_MAX_ITER,
                      seed: CurveCoordinates | None = None) -> EntropyEstimate:
@@ -149,11 +155,7 @@ def entropy_estimate(word: BraidWord, tol: float = DEFAULT_TOL,
     reported, not raised; it signals reducible-dominated growth or an
     insufficient budget.
     """
-    if max_iter < 1 or not tol > 0:
-        raise ValueError(f"need max_iter >= 1 and tol > 0; "
-                         f"got max_iter={max_iter}, tol={tol}")
-    if math.isinf(tol):
-        raise ValueError(f"need a finite tol; got tol={tol}")
+    check_budget(tol, max_iter)
     if word.spherical:
         raise ValueError("estimator acts on disk braids; compare via shift")
     n = word.degree

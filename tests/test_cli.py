@@ -344,6 +344,11 @@ def test_cone_braid_word():
     ("family", "xi", "--p", "1", "--csv", "/nonexistent/x.csv"),
     ("family", "xi", "--p", "1", "--csv", "/tmp"),
     ("tribraid", "--word", "-1 2", "--manifest", "/nonexistent/d/m.json"),
+    # family checks the estimator's budget even without --with-entropy
+    ("family", "xi", "--p", "1", "--max-iter", "0"),
+    ("family", "xi", "--p", "1", "--tol", "inf"),
+    ("family", "xi", "--p", "1", "--tol", "-1"),
+    ("family", "xi", "--p", "1", "--tol", "inf", "--manifest", "/nonexistent/m.json"),
 ])
 def test_rejected_input_is_a_usage_error(args):
     res = run(*args)
@@ -375,14 +380,21 @@ USAGE_MESSAGES = {
         "cannot write /tmp: Is a directory",
     ("tribraid", "--word", "-1 2", "--manifest", "/nonexistent/d/m.json"):
         "cannot write /nonexistent/d/m.json: No such file or directory",
+    ("family", "xi", "--p", "1", "--max-iter", "0"): "max_iter >= 1; got 1e-09, 0",
+    ("family", "xi", "--p", "1", "--tol", "inf"): "need a finite tol",
+    ("family", "xi", "--p", "1", "--tol", "-1"): "need a finite tol > 0",
+    ("family", "xi", "--p", "1", "--tol", "inf", "--manifest", "/nonexistent/m.json"):
+        "need a finite tol",
 }
 
 
 def test_manifest_that_is_not_json_is_a_usage_error(tmp_path):
-    # --tol is only read with --with-entropy, but the manifest records it
+    # JSON cannot record --tol inf; the estimator's budget rule rejects it
+    # before anything is written, also when no estimate is made
     path = tmp_path / "m.json"
     res = run("family", "xi", "--p", "1", "--tol", "inf", "--manifest", str(path))
     assert res.exit_code == 2 and res.output.startswith("Usage:")
+    assert "need a finite tol" in res.output
     assert not path.exists()
 
 

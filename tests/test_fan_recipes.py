@@ -95,13 +95,25 @@ def test_frozen_programs_replay_on_the_triangulation():
 
 
 def test_inverse_program_is_reverse_with_inverted_relabeling():
-    for n in (3, 5, 7):
+    # compile_pass relabels six slots in place by one simultaneous
+    # assignment, which needs every letter's moves to permute six edges
+    for n in range(2, 10):
         programs = _fan.letter_programs(n)
+        size = 3 * (n + 2) - 3
+        assert sorted(programs) == [*range(1 - n, 0), *range(1, n)]
+        for ops, moves in programs.values():
+            assert len(ops) == 4 and len(moves) == 6
+            dst = [d for d, _ in moves]
+            assert len(set(dst)) == 6 and set(dst) == {s for _, s in moves}
         for k in range(1, n):
             ops, moves = programs[k]
             iops, imoves = programs[-k]
             assert iops == tuple(reversed(ops))
             assert sorted(imoves) == sorted((s, d) for d, s in moves)
+            slot = list(range(size))
+            for relabel in map(dict, (moves, imoves)):
+                slot = [slot[relabel.get(i, i)] for i in range(size)]
+            assert slot == list(range(size))
 
 
 @settings(max_examples=60)
@@ -150,7 +162,7 @@ def replay_letters(vals, letters, programs):
 
 
 @settings(max_examples=80)
-@given(st.integers(min_value=2, max_value=9), st.data())
+@given(st.sampled_from([*range(2, 10), 16]), st.data())  # 16: word_problem
 def test_compiled_pass_equals_the_per_letter_action(n, data):
     letter = st.integers(min_value=1, max_value=n - 1).flatmap(
         lambda j: st.sampled_from([j, -j]))
