@@ -9,12 +9,13 @@ matrix (``_fan.pass_matrix``), which the estimator certifies.
 Exact arbitrary-precision integers throughout.  Coordinates are renormalized
 by an integer right-shift once their total exceeds 2**512; the discarded
 power of two is accumulated exactly (in bits) so growth estimates are
-unaffected.  While no renormalization has happened, a return of the orbit
-to its start vector is detected, which certifies zero entropy for periodic
-braids.  The action is a bijection, so x_i = x_j with i < j implies
-x_0 = x_{j-i}: the first repeat of an exact orbit is a return to its start,
-so the start vector is the only one kept.  The start vector is a nonempty
-curve system, so no iterate is empty and the norm stays positive.
+unaffected; the rounding can still decide when a pass repeats its branches.
+While no renormalization has happened, a return of the orbit to its start
+vector is detected, which certifies zero entropy for periodic braids.  The
+action is a bijection, so x_i = x_j with i < j implies x_0 = x_{j-i}: the
+first repeat of an exact orbit is a return to its start, so the start
+vector is the only one kept.  The start vector is a nonempty curve system,
+so no iterate is empty and the norm stays positive.
 """
 
 from __future__ import annotations

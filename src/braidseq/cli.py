@@ -269,12 +269,13 @@ def _parse_range(text: str) -> list[int]:
 @click.option("--manifest", type=click.Path(), default=None)
 def family_cmd(name, p_range, seed_blocks, seed_degree, pre_twist,
                with_entropy, tol, max_iter, csv_path, manifest):
-    """Generate family members; optionally with (ent, Ent) columns."""
-    seed = None
-    if seed_blocks is not None:
-        if seed_degree is None:
-            raise ValueError("--seed-degree required with --seed-blocks")
-        seed = StandardForm.from_blocks_text(seed_blocks, seed_degree)
+    """Generate family members; optionally with (ent, Ent) columns.  A
+    seeded member is a cone class over its seed: z is (p + t + 1, 1) for
+    --pre-twist t, beta is (p + 1, p) and b_p is (1, p)."""
+    if (seed_blocks is None) != (seed_degree is None):
+        raise ValueError("--seed-blocks and --seed-degree go together")
+    seed = (StandardForm.from_blocks_text(seed_blocks, seed_degree)
+            if seed_blocks is not None else None)
     dynnikov.check_budget(tol, max_iter)   # --manifest records it either way
     header = ["p", "degree", "word"]
     if with_entropy:
@@ -381,8 +382,8 @@ def prongs_cmd(orbit, twist, cls, sweep, epsilon, csv_path):
         data = foliation.OrbitData(
             foliation.TorusClass(*_parse_class(axis_txt)),
             foliation.TorusClass(*_parse_class(strand_txt)))
-    for _ in range(twist):
-        data = foliation.compose_orbit_full_twist(data, 1)
+    if twist:
+        data = foliation.compose_orbit_full_twist(data, twist)
     if cls.count(",") != 1:
         raise ValueError(f"expected a class like 2,1 or p,1; got {cls!r}")
     xs, ys = cls.split(",")

@@ -1,6 +1,10 @@
 """Named braid families: the skew-palindromic sequences, the spin-group
 sequences, and the seeded small-normalized-entropy sequences.
 
+A seeded member is the monodromy braid of a cone class over its seed,
+``class_to_braid(seed, x, y)``: z_p is the class (p + t + 1, 1) for a
+pre-twist t (default 0), beta_p is (p + 1, p) and b_p is (1, p).
+
 Family outputs are literal words (not conjugacy-normalized), matching the
 displayed closed forms; golden tests compare letter-for-letter.
 """
@@ -11,7 +15,7 @@ from dataclasses import dataclass
 from math import log, sqrt
 
 from . import dynnikov
-from .standard import StandardForm, TwistProgram, apply_program
+from .standard import StandardForm, class_to_braid
 from .words import BraidWord
 
 SEEDED = ("z", "beta", "b_p")
@@ -37,6 +41,10 @@ class FamilySpec:
             raise ValueError("family parameter must be >= 1")
         if self.pre_twist < 0:
             raise ValueError("pre-twist must be >= 0")
+        if self.pre_twist and self.name != "z":
+            raise ValueError(f"family {self.name} takes no pre-twist")
+        if self.seed is not None and self.name in CLOSED_FORM:
+            raise ValueError(f"family {self.name} takes no seed")
 
 
 @dataclass(frozen=True)
@@ -67,13 +75,9 @@ def generate(spec: FamilySpec) -> FamilyMember:
         word = BraidWord(5 + 2 * p, letters)
         return FamilyMember(word, word.shift().to_spherical())
     seed = spec.seed if spec.seed is not None else DEFAULT_Z_SEED
-    if spec.name == "z":
-        prog = TwistProgram((0, spec.pre_twist + p, 1))
-    elif spec.name == "beta":
-        prog = TwistProgram((0, 1, p))
-    else:                                # b_p
-        prog = TwistProgram((p,))
-    return FamilyMember(apply_program(seed, prog).to_braid_word())
+    x, y = {"z": (p + spec.pre_twist + 1, 1), "beta": (p + 1, p),
+            "b_p": (1, p)}[spec.name]
+    return FamilyMember(class_to_braid(seed, x, y).to_braid_word())
 
 
 def is_palindromic(b: BraidWord, braid_level: bool = False):

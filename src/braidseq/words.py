@@ -221,7 +221,7 @@ class BraidWord:
         a header that disagrees with ``degree`` or ``spherical`` raises
         ``ValueError``.  With no header, ``spherical=None`` is a disk braid."""
         tokens = text.replace(":", " ").split()
-        if tokens and tokens[0][0].upper() in "BS" and not _is_int(tokens[0]):
+        if tokens and tokens[0][0].upper() in "BS":
             head = tokens[0].upper()
             sphere = head.startswith("SB")
             if not (sphere or head.startswith("B")):
@@ -237,14 +237,6 @@ class BraidWord:
         if degree is None:
             degree = max((abs(x) for x in letters), default=1) + 1
         return BraidWord(degree, letters, bool(spherical))
-
-
-def _is_int(token: str) -> bool:
-    try:
-        int(token)
-        return True
-    except ValueError:
-        return False
 
 
 # -- named generators -----------------------------------------------------

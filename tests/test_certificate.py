@@ -16,7 +16,7 @@ from pathlib import Path
 
 import pytest
 
-from braidseq import _fan, dynnikov
+from braidseq import _fan, _kernel_py, dynnikov
 from braidseq.dynnikov import DEFAULT_TOL, entropy_estimate
 from braidseq.families import FamilySpec, generate
 from braidseq.standard import StandardForm, class_to_braid
@@ -174,6 +174,19 @@ def test_reducible_value_is_the_component_its_seed_meets():
         est = entropy_estimate(word, seed=seed)
         assert est.converged and est.method == "linear_piece"
         assert abs(est.value - math.log(lam)) <= DEFAULT_TOL
+
+
+def test_renormalization_decides_whether_a_cycling_word_certifies(monkeypatch):
+    # the branches of this word cycle with period 4 from pass 12; it
+    # certifies at pass 1,124 only because the 2**512 right-shift rounds the
+    # iterate.  Certifying a cycle of cells is expected to flip the second
+    # assertion: then it certifies with or without renormalization.
+    word = BraidWord.from_text("B7 3 1 2 1 -5 4 -6")
+    est = entropy_estimate(word, max_iter=4096)
+    assert est.converged and est.iterations == 1124
+    assert abs(est.value - 0.6329743192) < 1e-9
+    monkeypatch.setattr(_kernel_py, "RENORM_BITS", 10 ** 9)
+    assert not entropy_estimate(word, max_iter=4096).converged
 
 
 def exact_solve(rows, sigma, rhs):

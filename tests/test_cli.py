@@ -349,6 +349,15 @@ def test_cone_braid_word():
     ("family", "xi", "--p", "1", "--tol", "inf"),
     ("family", "xi", "--p", "1", "--tol", "-1"),
     ("family", "xi", "--p", "1", "--tol", "inf", "--manifest", "/nonexistent/m.json"),
+    ("family", "beta", "--p", "1", "--pre-twist", "2"),
+    ("family", "xi", "--p", "1", "--seed-blocks", "-1", "--seed-degree", "3"),
+    ("family", "z", "--p", "1", "--seed-degree", "3"),
+    ("prongs", "--class", "p,1"),
+    ("prongs", "--orbit", "bad", "--class", "1,1"),
+    ("prongs", "--class", "2,1", "--epsilon", "0"),
+    ("family", "xi", "--p", "a..b"),
+    ("family", "xi", "--p", "0"),
+    ("cone", "norm", "--n", "3", "--u", "1", "--class", "5"),
 ])
 def test_rejected_input_is_a_usage_error(args):
     res = run(*args)
@@ -385,6 +394,17 @@ USAGE_MESSAGES = {
     ("family", "xi", "--p", "1", "--tol", "-1"): "need a finite tol > 0",
     ("family", "xi", "--p", "1", "--tol", "inf", "--manifest", "/nonexistent/m.json"):
         "need a finite tol",
+    ("family", "beta", "--p", "1", "--pre-twist", "2"): "family beta takes no pre-twist",
+    ("family", "xi", "--p", "1", "--seed-blocks", "-1", "--seed-degree", "3"):
+        "family xi takes no seed",
+    ("family", "z", "--p", "1", "--seed-degree", "3"):
+        "--seed-blocks and --seed-degree go together",
+    ("prongs", "--class", "p,1"): "class contains p but no --sweep given",
+    ("prongs", "--orbit", "bad", "--class", "1,1"): "expected axis:strand classes",
+    ("prongs", "--class", "2,1", "--epsilon", "0"): "epsilon must be +-1",
+    ("family", "xi", "--p", "a..b"): "expected a value or range",
+    ("family", "xi", "--p", "0"): "parameters must be >= 1",
+    ("cone", "norm", "--n", "3", "--u", "1", "--class", "5"): "expected a class like 5,14",
 }
 
 
@@ -454,6 +474,13 @@ p,degree,ent,Ent,abs_error_vs_Ent_b1,converged
 1,7,0.9624236501192079,5.774541900715247,0.8770016635192457,True
 2,11,0.6045416380110363,6.045416380110363,0.60612718412413,True
 # Ent(b_1) = 6.651543564234493
+"""),
+    ("prongs --orbit 1,0:2,1 --twist 3 --class p,1 --sweep p=1..4", """\
+p,x,y,axis_prongs,strand_prongs,fill
+1,1,1,4,6,safe
+2,2,1,5,7,safe
+3,3,1,6,8,safe
+4,4,1,7,9,safe
 """),
     ('entropy --braid "B3 -1 2 2"', """\
 log lambda:   1.3169578969248186

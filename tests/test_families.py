@@ -7,7 +7,7 @@ from braidseq.dynnikov import braids_equal, entropy_estimate
 from braidseq.families import (DEFAULT_Z_SEED, FamilySpec, generate,
                                is_palindromic, is_skew_palindromic,
                                palindromic_bound_check, PALINDROMIC_FLOOR)
-from braidseq.standard import StandardForm, disk_twist_step
+from braidseq.standard import StandardForm, class_to_braid, disk_twist_step
 from braidseq.words import BraidWord
 
 
@@ -58,6 +58,15 @@ def test_beta_family_class_degrees():
     for p in range(1, 6):
         w = generate(FamilySpec("beta", p, seed=seed)).word
         assert w.degree == 2 * (p + 1) + 2 * p + 1
+    # every seeded member is the monodromy of its class: z_p with pre-twist
+    # t is (p + t + 1, 1), beta_p is (p + 1, p), b_p is (1, p)
+    for seed in (DEFAULT_Z_SEED, seed, StandardForm(4, ((-1, 2), (1,)))):
+        for p in range(1, 7):
+            cases = [(FamilySpec("z", p, seed, t), (p + t + 1, 1)) for t in range(3)]
+            cases += [(FamilySpec("beta", p, seed), (p + 1, p)),
+                      (FamilySpec("b_p", p, seed), (1, p))]
+            for spec, (x, y) in cases:
+                assert generate(spec).word == class_to_braid(seed, x, y).to_braid_word()
 
 
 def test_b_p_family():
@@ -85,6 +94,17 @@ def test_spec_validation():
         FamilySpec("xi", 0)
     with pytest.raises(ValueError):
         FamilySpec("nope", 1)
+    with pytest.raises(ValueError):
+        FamilySpec("z", 1, pre_twist=-1)
+    # only z takes a pre-twist; the closed-form families take no seed
+    for name in ("beta", "b_p", "xi", "eta", "o", "v"):
+        with pytest.raises(ValueError, match="takes no pre-twist"):
+            FamilySpec(name, 1, pre_twist=2)
+    for name in ("xi", "eta", "o", "v"):
+        with pytest.raises(ValueError, match="takes no seed"):
+            FamilySpec(name, 1, seed=DEFAULT_Z_SEED)
+    for name in ("z", "beta", "b_p"):
+        FamilySpec(name, 1, seed=DEFAULT_Z_SEED)
 
 
 def test_skew_palindromic_golden_families():
