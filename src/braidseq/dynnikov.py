@@ -17,7 +17,9 @@ multicurves to the same multicurve: the curves around adjacent punctures
 from __future__ import annotations
 
 import math
+import operator
 from dataclasses import dataclass
+from functools import lru_cache
 
 from . import _fan
 from ._kernel_py import PureEngine
@@ -36,7 +38,8 @@ class CurveCoordinates:
     Two integer sequences of length n-2: ``a[i]`` is half the difference of
     the crossing counts with the up/down rays at puncture i+2, ``b[i]`` half
     the difference of crossings with consecutive walls.  The zero vector is
-    the empty system.
+    the empty system.  Entries must be integers (``operator.index``); a
+    float, string or fraction raises ``ValueError``.
     """
 
     a: tuple[int, ...]
@@ -45,8 +48,14 @@ class CurveCoordinates:
     def __post_init__(self):
         if len(self.a) != len(self.b):
             raise ValueError("a and b must have equal length")
-        object.__setattr__(self, "a", tuple(int(x) for x in self.a))
-        object.__setattr__(self, "b", tuple(int(x) for x in self.b))
+        try:
+            a = tuple(map(operator.index, self.a))
+            b = tuple(map(operator.index, self.b))
+        except TypeError:
+            raise ValueError("curve coordinates must be integers, got "
+                             f"a={self.a!r}, b={self.b!r}") from None
+        object.__setattr__(self, "a", a)
+        object.__setattr__(self, "b", b)
 
     @property
     def degree(self) -> int:
@@ -316,6 +325,21 @@ def curve_suite(n: int) -> list[tuple[str, CurveCoordinates]]:
              CurveCoordinates(zero, tuple(-x for x in odd)))]
 
 
+@lru_cache(maxsize=None)
+def _suite_vectors(n: int) -> tuple[tuple[str, tuple[int, ...]], ...]:
+    """``curve_suite(n)`` as (name, edge vector) pairs, decoded once per
+    degree, on first use."""
+    return tuple((name, tuple(_fan.decode(n, coords.a, coords.b)))
+                 for name, coords in curve_suite(n))
+
+
+def _image(n: int, program, vec) -> tuple[tuple[int, ...], tuple[int, ...]]:
+    """Chart of the image of the edge vector ``vec`` under a compiled pass."""
+    vals = list(vec)
+    _fan.run_steps(vals, program)
+    return _fan.encode(n, vals)
+
+
 def braids_equal(b: BraidWord, c: BraidWord) -> EqualityVerdict:
     """Word-problem verdict: compares permutations, exponent sums and the
     action on the two multicurves of ``curve_suite``; ``distinct`` comes
@@ -338,6 +362,10 @@ def braids_equal(b: BraidWord, c: BraidWord) -> EqualityVerdict:
     boundary-parallel and the exponent sum decides.  Two spherical words
     raise ``ValueError``: the argument decides disk braids, and a word that
     is trivial in SB_n, such as s1 s2 s2 s1 in SB_3, moves disk curves.
+
+    Each word's pass is compiled once and run on both multicurves, whose
+    edge vectors are decoded once per degree; the images are compared in
+    the chart, so ``_fan.encode`` checks the parity of every image.
     """
     if b.degree != c.degree or b.spherical != c.spherical:
         return EqualityVerdict(False, "degree or sphericity mismatch")
@@ -350,7 +378,12 @@ def braids_equal(b: BraidWord, c: BraidWord) -> EqualityVerdict:
         return EqualityVerdict(False, "exponent sums differ")
     if b.degree == 2:
         return EqualityVerdict(True)    # exponent sum decides B_2
-    for name, coords in curve_suite(b.degree):
-        if act(b, coords) != act(c, coords):
+    n = b.degree
+    suite = _suite_vectors(n)
+    programs = _fan.letter_programs(n)
+    size = len(suite[0][1])
+    left, right = (_fan.compile_pass(size, w.letters, programs) for w in (b, c))
+    for name, vec in suite:
+        if _image(n, left, vec) != _image(n, right, vec):
             return EqualityVerdict(False, name)
     return EqualityVerdict(True)

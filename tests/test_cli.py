@@ -120,6 +120,21 @@ def test_cli_import_loads_only_what_estimating_commands_run():
     assert out.stdout.splitlines() == [repr(modules), "[]"]
 
 
+def test_cli_import_fills_no_cache():
+    # start-up pays for no table: every cached helper is filled on first use
+    code = ("import braidseq.cli\n"
+            "from braidseq import _fan, dynnikov\n"
+            "for mod in (_fan, dynnikov):\n"
+            "    for name, f in sorted(vars(mod).items()):\n"
+            "        if hasattr(f, 'cache_info'):\n"
+            "            print(name, f.cache_info().currsize)")
+    out = fresh("-c", code)
+    assert out.returncode == 0, out.stderr
+    sizes = dict(line.split() for line in out.stdout.splitlines())
+    assert {"_layout", "triangles", "letter_programs", "_suite_vectors"} <= set(sizes)
+    assert set(sizes.values()) == {"0"}
+
+
 # stdout, and the manifest where one is asked for, of one command per import
 # deferred out of the module level, each in a fresh interpreter
 DEFERRED_GOLDENS = [

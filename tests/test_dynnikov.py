@@ -1,5 +1,8 @@
 import math
 import random
+import sys
+from fractions import Fraction
+from pathlib import Path
 
 import pytest
 from hypothesis import given, settings, strategies as st
@@ -10,7 +13,13 @@ from braidseq.dynnikov import (CurveCoordinates, act, braids_equal,
                                curve_suite, default_seed, entropy_estimate,
                                nested_seed, normalized_entropy, round_curve,
                                EstimatorDiverged)
+from braidseq.families import (FamilySpec, generate, is_palindromic,
+                               is_skew_palindromic)
 from braidseq.words import BraidWord, delta, full_twist, half_twist, rho
+
+sys.path.insert(0, str(Path(__file__).resolve().parent.parent / "perfbench"))
+
+import workloads  # noqa: E402
 
 
 def letters_strategy(n, max_len=12):
@@ -98,6 +107,15 @@ def test_round_curve_stabilizers():
 def test_degree_mismatch():
     with pytest.raises(Exception):
         act(BraidWord(4, (1,)), CurveCoordinates((0,), (1,)))
+
+
+@pytest.mark.parametrize("a, b", [((0.5,), (1.9,)), ((0.7,), (0.2,)),
+                                  (("2",), (True,)), ((1,), ("1",)),
+                                  ((Fraction(1, 2),), (0,)), ((Fraction(2),), (1,))])
+def test_non_integral_coordinates_rejected(a, b):
+    # they used to be truncated, so (0.7, 0.2) became the empty system
+    with pytest.raises(ValueError, match="must be integers"):
+        CurveCoordinates(a, b)
 
 
 # -- estimator ---------------------------------------------------------------
@@ -291,6 +309,59 @@ def test_spherical_words_rejected():
     with pytest.raises(ValueError):
         braids_equal(BraidWord(3, (1, 2, 2, 1), spherical=True),
                      BraidWord(3, (), spherical=True))
+
+
+def reference_equal(b, c):
+    """``braids_equal`` as one ``act`` per word and multicurve: a pair's
+    (equal, witness)."""
+    if b.degree != c.degree or b.spherical != c.spherical:
+        return False, "degree or sphericity mismatch"
+    if b.permutation() != c.permutation():
+        return False, "permutations differ"
+    if b.exponent_sum() != c.exponent_sum():
+        return False, "exponent sums differ"
+    if b.degree == 2:
+        return True, None
+    for name, coords in curve_suite(b.degree):
+        if act(b, coords) != act(c, coords):
+            return False, name
+    return True, None
+
+
+def _verdict(b, c):
+    v = braids_equal(b, c)
+    return v.equal, v.witness
+
+
+def test_verdicts_match_the_per_curve_reference_on_workload_pairs():
+    witnesses = set()
+    for seed in range(1, 8):
+        for pair in workloads.word_problem_pairs(seed):
+            expected = reference_equal(pair.left, pair.right)
+            assert _verdict(pair.left, pair.right) == expected
+            assert expected[0] == pair.equal
+            witnesses.add(expected[1])
+    assert None in witnesses and len(witnesses) > 1
+
+
+@settings(max_examples=100)
+@given(st.integers(min_value=3, max_value=8), st.data())
+def test_verdicts_match_the_per_curve_reference(n, data):
+    b = BraidWord(n, data.draw(letters_strategy(n)))
+    x = BraidWord(n, data.draw(letters_strategy(n, max_len=4)))
+    other = BraidWord(n, data.draw(letters_strategy(n)))
+    padded = b * x * x.inverse()
+    assert _verdict(b, padded) == reference_equal(b, padded) == (True, None)
+    assert _verdict(b, other) == reference_equal(b, other)
+
+
+@pytest.mark.parametrize("name", ["xi", "eta", "o", "v"])
+def test_braid_level_palindromes_match_the_per_curve_reference(name):
+    for p in range(1, 5):
+        w = generate(FamilySpec(name, p)).word
+        for test, flip in ((is_palindromic, w.rev()), (is_skew_palindromic, w.skew())):
+            expected = flip.letters == w.letters or reference_equal(flip, w)[0]
+            assert test(w, braid_level=True) == expected, (name, p, test.__name__)
 
 
 def _componentwise_sum(systems):

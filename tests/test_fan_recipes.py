@@ -9,7 +9,8 @@ final triangulation is the base one with the two braided punctures swapped,
 under exactly the frozen relabeling.  A word's compiled pass, which folds
 the relabelings into its flip slots, is checked against replaying the
 recipes letter by letter and against a per-letter reference compile on
-long words, and each estimate or act compiles its word once.
+long words, and each estimate, act or word-problem verdict compiles its
+word once.
 """
 
 import sys
@@ -232,11 +233,15 @@ def test_each_estimate_and_act_compiles_its_word_once(monkeypatch):
 
     monkeypatch.setattr(_fan, "compile_pass", counting)
     monkeypatch.setattr(_kernel_py, "compile_pass", counting)
-    pair = workloads.word_problem_pairs(1)[0]
-    assert pair.left.degree == 16
-    assert braids_equal(pair.left, pair.right)
-    # one act per word and multicurve
-    assert sorted(compiled) == sorted([pair.left.letters, pair.right.letters] * 2)
-    compiled.clear()
+    equal, distinct = workloads.word_problem_pairs(1)[:2]
+    assert equal.left.degree == 16
+    # each word is compiled once and run on both multicurves
+    for pair in (equal, distinct):
+        assert bool(braids_equal(pair.left, pair.right)) == pair.equal
+        assert sorted(compiled) == sorted([pair.left.letters, pair.right.letters])
+        compiled.clear()
+    # an early exit compiles nothing
+    verdict = braids_equal(BraidWord(4, (1, 2)), BraidWord(4, (2, 1)))
+    assert verdict.witness == "permutations differ" and compiled == []
     entropy_estimate(BraidWord(4, (1, -2, 3, -2)))
     assert len(compiled) == 1
