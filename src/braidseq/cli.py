@@ -223,7 +223,7 @@ def entropy_cmd(word, degree, tol, max_iter, as_json, manifest):
         "iterations": est.iterations,
         # undefined (inf) before two per-pass growth rates exist
         "last_delta": est.last_delta if math.isfinite(est.last_delta) else None,
-        "accumulated_scale": est.accumulated_scale,
+        "cycle": est.cycle,
         "converged": est.converged,
         "method": est.method,
         "kernel": est.kernel,

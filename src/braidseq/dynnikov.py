@@ -3,12 +3,12 @@ piecewise-linear action on coordinatized curve systems.
 
 The action is exact integer arithmetic (see ``_fan``); the entropy of a
 braid is the exponential growth rate of the coordinates of an essential
-curve system under iteration.  The action is piecewise linear, and once a
-pass of the word repeats its branches it is one integer matrix; the
-dilatation is certified from an eigenvector of that matrix that is a
-measured lamination, which the full action stretches by it.  The estimator
-is checked against the exact 3-braid oracle and against 40-digit
-linear-piece references in the test suite.  Two braids are equal when
+curve system under iteration.  The action is piecewise linear, and once
+the branches of its passes cycle with period p, p passes of the word are
+one integer matrix; the dilatation is certified from an eigenvector of that
+matrix that is a measured lamination, which the full action of w^p
+stretches by lambda^p.  The estimator is checked against the exact 3-braid
+oracle and against 40-digit linear-piece references in the test suite.  Two braids are equal when
 their permutations and exponent sums agree and they move each of two
 multicurves to the same multicurve: the curves around adjacent punctures
 {i, i+1} for odd i, and those for even i.
@@ -109,19 +109,21 @@ class EntropyEstimate:
     """Growth-rate value with iteration diagnostics.
 
     ``method`` says what decided a converged value: ``linear_piece`` (an
-    eigenvector certificate of the repeated linear piece), ``periodic`` (a
-    return of the orbit to its seed) or ``none`` (not converged: the value is
-    the growth over the later half of the run).  ``last_delta`` is the
-    certificate's relative residual, 0.0 for a periodic orbit, and otherwise
-    the change between the last two per-pass growth rates.
+    eigenvector certificate of the linear piece of a cycle of ``cycle``
+    passes), ``periodic`` (a return of the orbit to its seed) or ``none``
+    (not converged: the value is the growth over the later half of the
+    run).  ``cycle`` is None unless the method is ``linear_piece``.
+    ``last_delta`` is the certificate's relative residual, 0.0 for a
+    periodic orbit, and otherwise the change between the last two per-pass
+    growth rates.
     """
 
     value: float
     iterations: int
     last_delta: float
-    accumulated_scale: float
     converged: bool
     method: str
+    cycle: int | None = None
     kernel: str = "pure"
 
     def require_converged(self) -> "EntropyEstimate":
@@ -147,29 +149,31 @@ def entropy_estimate(word: BraidWord, tol: float = DEFAULT_TOL,
                      seed: CurveCoordinates | None = None) -> EntropyEstimate:
     """Growth rate log(lambda) of the braid's action on a seed curve system.
 
-    Iterates the exact action one pass at a time.  The flip rule is
-    piecewise linear; once a pass takes the same branches as the pass
-    before it, the pass acts on the iterate as one integer matrix M, and
-    ``_certify`` looks for an eigenvector of M, near the iterate, that is
-    a measured lamination and that the full piecewise-linear pass
-    stretches by lambda > 1 (Bestvina-Handel, *Topology* 1995;
-    Hall-Yurttas, *Topol. Appl.* 2009).  For a pseudo-Anosov class
-    log(lambda) is then the entropy; for a reducible class it is the
-    entropy of one pseudo-Anosov component, a lower bound.  Only such a
-    certificate, or a return of the orbit to its seed (zero entropy, a
-    periodic class), makes an estimate converged.  A failed certificate is
-    tried again after 1, 2, 4, ... further passes, so a word that cannot be
-    certified costs O(log max_iter) factorizations; an attempt at a pass
-    that left the norm unchanged fails without one.  Non-convergence is
-    reported, not raised; it signals reducible-dominated growth or an
-    insufficient budget.
+    Iterates the exact action one pass at a time, never rounded.  The flip
+    rule is piecewise linear; once a pass takes the same branches as the
+    pass p <= ``_kernel_py.MAX_CYCLE`` passes before it (the smallest such
+    p), the pass of w^p on the cell of the last p branch lists is one
+    integer matrix M, and ``_certify`` looks for an eigenvector of M, near
+    the iterate, that is a measured lamination and that the full
+    piecewise-linear pass of w^p stretches by lambda_p > 1
+    (Bestvina-Handel, *Topology* 1995; Hall-Yurttas, *Topol. Appl.* 2009).
+    For a pseudo-Anosov class log(lambda_p)/p is then the entropy; for a
+    reducible class it is the entropy of one pseudo-Anosov component, a
+    lower bound.  Only such a certificate, or a return of the orbit to its
+    seed (zero entropy, a periodic class), makes an estimate converged.  A
+    cycle is looked for only at passes where an attempt is due: a failed
+    certificate is tried again after 1, 2, 4, ... further passes, so a word
+    that cannot be certified costs O(log max_iter) factorizations; an
+    attempt over passes that left the norm unchanged fails without one.
+    Non-convergence is reported, not raised; it signals reducible-dominated
+    growth or an insufficient budget.
     """
     check_budget(tol, max_iter)
     if word.spherical:
         raise ValueError("estimator acts on disk braids; compare via shift")
     n = word.degree
     if n < 3:
-        return EntropyEstimate(0.0, 0, 0.0, 0.0, True, "periodic")
+        return EntropyEstimate(0.0, 0, 0.0, True, "periodic")
     if seed is None:
         seed = default_seed(n)
     if seed.is_zero():
@@ -182,12 +186,18 @@ def entropy_estimate(word: BraidWord, tol: float = DEFAULT_TOL,
         lognorms += engine.advance(1)
         if engine.periodic_at is not None:
             return _estimate(engine, 0.0, 0.0, "periodic")
-        if engine.repeated and engine.iterations >= retry_at:
-            growth = math.exp(lognorms[-1] - lognorms[-2])
-            found = _certify(engine, n, growth, tol)
+        p = engine.cycle() if engine.iterations >= retry_at else None
+        if p is not None:
+            program = engine.program if p == 1 else _fan.compile_pass(
+                len(engine.vals), word.letters * p, _fan.letter_programs(n))
+            bits = [bit for branches in list(engine.history)[-p:]
+                    for bit in branches]
+            growth = math.exp(lognorms[-1] - lognorms[-1 - p])
+            found = _certify(engine.vals, program, bits, n, growth, tol)
             if found is not None:
                 lam, residual = found
-                return _estimate(engine, math.log(lam), residual, "linear_piece")
+                return _estimate(engine, math.log(lam) / p, residual,
+                                 "linear_piece", p)
             retry_at, wait = engine.iterations + wait, 2 * wait
     # best effort: growth over the later half of the run
     best, last_delta = 0.0, math.inf
@@ -201,18 +211,19 @@ def entropy_estimate(word: BraidWord, tol: float = DEFAULT_TOL,
 
 
 def _estimate(engine: PureEngine, value: float, last_delta: float,
-              method: str) -> EntropyEstimate:
+              method: str, cycle: int | None = None) -> EntropyEstimate:
     return EntropyEstimate(value, engine.iterations, last_delta,
-                           engine.scale_bits * math.log(2.0),
-                           method != "none", method)
+                           method != "none", method, cycle)
 
 
-def _certify(engine: PureEngine, n: int, sigma: float,
-             tol: float) -> tuple[float, float] | None:
-    """(lambda, relative residual) certified from the engine's last pass,
-    or None.
+def _certify(vals: list[int], program, bits: list[bool], n: int,
+             sigma: float, tol: float) -> tuple[float, float] | None:
+    """(lambda, relative residual) certified for the compiled pass
+    ``program`` from the iterate ``vals``, or None.
 
-    M is the integer matrix of the pass on the cell of its branches.
+    M is the integer matrix of the pass on the cell of ``bits``, the
+    branches its flips are expected to take; for a cycle of p passes the
+    pass is w^p and ``bits`` the last p branch lists joined.
     Shift-and-invert from the float-scaled iterate refines an eigenvector x
     of M, starting at the shift ``sigma`` and moving the shift to the
     stretch ratio of the refined vector after each solve.  With x scaled to
@@ -235,8 +246,7 @@ def _certify(engine: PureEngine, n: int, sigma: float,
     """
     if sigma == 1.0:
         return None
-    program, vals = engine.program, engine.vals
-    m = _fan.pass_matrix(len(vals), program, engine.bits)
+    m = _fan.pass_matrix(len(vals), program, bits)
     norm = max(sum(map(abs, row)) for row in m)
     gate = min(tol, max(1e-12, 1e-15 * norm))
     rows = [list(map(float, row)) for row in m]
@@ -295,14 +305,6 @@ def _shifted_solve(rows: list[list[float]], sigma: float,
         row = a[k]
         y[k] = (row[size] - sum([u * v for u, v in zip(row[k + 1:size], y[k + 1:])])) / row[k]
     return y
-
-
-def normalized_entropy(word: BraidWord, tol: float = DEFAULT_TOL,
-                       max_iter: int = DEFAULT_MAX_ITER) -> float:
-    """(n - 1) * log(lambda) for a degree-n braid; raises on divergence."""
-    est = entropy_estimate(word, tol=tol, max_iter=max_iter)
-    est.require_converged()
-    return (word.degree - 1) * est.value
 
 
 @dataclass(frozen=True)

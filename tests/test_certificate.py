@@ -15,8 +15,10 @@ from fractions import Fraction
 from pathlib import Path
 
 import pytest
+from click.testing import CliRunner
 
 from braidseq import _fan, _kernel_py, dynnikov
+from braidseq.cli import main
 from braidseq.dynnikov import DEFAULT_TOL, entropy_estimate
 from braidseq.families import FamilySpec, generate
 from braidseq.standard import StandardForm, class_to_braid
@@ -176,17 +178,47 @@ def test_reducible_value_is_the_component_its_seed_meets():
         assert abs(est.value - math.log(lam)) <= DEFAULT_TOL
 
 
-def test_renormalization_decides_whether_a_cycling_word_certifies(monkeypatch):
-    # the branches of this word cycle with period 4 from pass 12; it
-    # certifies at pass 1,124 only because the 2**512 right-shift rounds the
-    # iterate.  Certifying a cycle of cells is expected to flip the second
-    # assertion: then it certifies with or without renormalization.
-    word = BraidWord.from_text("B7 3 1 2 1 -5 4 -6")
-    est = entropy_estimate(word, max_iter=4096)
-    assert est.converged and est.iterations == 1124
+def test_a_cycling_word_certifies_from_its_cycle():
+    # the branches of this word cycle with period 4 from pass 12, and no
+    # two consecutive passes agree; the pass of w^4 certifies it there
+    est = entropy_estimate(BraidWord.from_text("B7 3 1 2 1 -5 4 -6"))
+    assert est.converged and est.method == "linear_piece"
+    assert est.iterations == 12 and est.cycle == 4
     assert abs(est.value - 0.6329743192) < 1e-9
-    monkeypatch.setattr(_kernel_py, "RENORM_BITS", 10 ** 9)
-    assert not entropy_estimate(word, max_iter=4096).converged
+    res = CliRunner().invoke(main, ["entropy", "--braid", "B7 3 1 2 1 -5 4 -6"])
+    assert res.exit_code == 0, res.output
+
+
+#: the other words of 300 random ones (degree 4-9) that certify from a
+#: 2-cycle before two consecutive passes agree: (word, pass of the cycle
+#: certificate, long-run value).  The value was certified at the pass in the
+#: comment when only consecutive passes were compared and the iterate was
+#: rounded past 2**512.
+EARLY_CYCLES = [
+    ("B4 -3 1 1 -1 2 2 -2 2 2 2 2 1", 5, "1.9248473002384137"),        # 185
+    ("B6 5 -3 -1 2 -4 4 3 2 -4 -1 -3 -2", 8, "0.767197218251319"),     # 463
+    ("B7 -2 4 3 -1 -5", 7, "1.027822197246249"),                       # 8
+    ("B9 -4 3 2 -2 2 7 5 -7 1 1 8 -4 -3", 7, "1.087070144995739"),     # 328
+    ("B5 3 -1 -2 3 -4 1 2 2 -2 2 3", 5, "2.2924316695611777"),         # 156
+    ("B4 -2 -1 3 3 -3 3 2 3 -1 -2 2 3 1", 5, "1.3169578969248168"),    # 271
+    ("B9 -4 4 -5 -3 8 4 7 -1 1 2 1 4 5 1", 6, "1.5667992369724109"),   # 229
+    ("B7 -5 1 -1 -2 5 1 -6 3 6 -4 2 -6 6 1", 9, "0.7671972182513195"),  # 463
+]
+
+
+@pytest.mark.parametrize("text, passes, value", EARLY_CYCLES,
+                         ids=[case[0] for case in EARLY_CYCLES])
+def test_a_two_cycle_certifies_the_long_run_value(text, passes, value):
+    est = entropy_estimate(BraidWord.from_text(text))
+    assert est.converged and est.method == "linear_piece"
+    assert est.iterations == passes and est.cycle == 2
+    assert abs(est.value - float(value)) <= 1e-12
+
+
+def test_cycles_longer_than_max_cycle_are_not_certified(monkeypatch):
+    monkeypatch.setattr(_kernel_py, "MAX_CYCLE", 3)
+    est = entropy_estimate(BraidWord.from_text("B7 3 1 2 1 -5 4 -6"))
+    assert not est.converged and est.iterations == 512 and est.cycle is None
 
 
 def exact_solve(rows, sigma, rhs):

@@ -66,6 +66,7 @@ def test_entropy_json():
     doc = json.loads(res.output)
     assert doc["converged"] is True and doc["method"] == "linear_piece"
     assert abs(doc["normalized_entropy"] - 2.6339157938) < 1e-6
+    assert doc["cycle"] == 1 and "accumulated_scale" not in doc
 
 
 @pytest.mark.parametrize("flags", [(), ("--json",)], ids=["diagnostics", "json"])
@@ -75,6 +76,7 @@ def test_undefined_last_delta_is_json_null(flags):
     assert res.exit_code == 1
     doc = strict_json(res.output)
     assert doc["converged"] is False and doc["last_delta"] is None
+    assert doc["cycle"] is None
 
 
 def test_entropy_plain_text():

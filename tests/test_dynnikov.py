@@ -11,7 +11,7 @@ from braidseq import _fan
 from braidseq._kernel_py import PureEngine
 from braidseq.dynnikov import (CurveCoordinates, act, braids_equal,
                                curve_suite, default_seed, entropy_estimate,
-                               nested_seed, normalized_entropy, round_curve,
+                               nested_seed, round_curve,
                                EstimatorDiverged)
 from braidseq.families import (FamilySpec, generate, is_palindromic,
                                is_skew_palindromic)
@@ -164,11 +164,6 @@ def test_reducible_twist_reports_divergence(max_iter):
         est.require_converged()
 
 
-def test_normalized_entropy_factors_chi():
-    val = normalized_entropy(BraidWord(3, (-1, 2, 2)))
-    assert abs(val - 2 * LOG_2_SQRT3) < 1e-8
-
-
 def test_seed_independence():
     word = BraidWord(5, (1, 2, 2, 3, 3, 4))     # pA
     seeds = [default_seed(5), nested_seed(5), round_curve(5, 2, 4)]
@@ -216,17 +211,19 @@ def test_spherical_input_rejected():
         entropy_estimate(BraidWord(3, (-1, 2), spherical=True))
 
 
-def test_accumulated_scale_reported():
-    # the estimate certifies before any renormalization, so drive the
-    # engine itself until it renormalizes; the log-norm keeps the growth
+def test_iterate_is_exact_past_2_to_the_512():
+    # the iterate is never rounded: past 600 bits it is still the exact
+    # image of the seed, and the log-norm still grows by log(2 + sqrt 3)
     word = BraidWord(3, (-1, 2, 2))
     seed = default_seed(3)
     engine = PureEngine(_fan.decode(3, seed.a, seed.b), word.letters,
                         _fan.letter_programs(3))
-    lognorms = [engine.lognorm()]
-    while engine.scale_bits == 0:
-        lognorms += engine.advance(1)
-    lognorms += engine.advance(4)
+    lognorms = [engine.lognorm()] + engine.advance(350)
+    assert max(engine.vals).bit_length() > 600
+    coords = seed
+    for _ in range(350):
+        coords = act(word, coords)
+    assert _fan.encode(3, engine.vals) == (coords.a, coords.b)
     assert abs((lognorms[-1] - lognorms[-6]) / 5 - LOG_2_SQRT3) < 1e-12
 
 
@@ -239,7 +236,6 @@ def test_engine_pass_is_one_application_of_the_word():
     coords = seed
     for _ in range(6):
         coords = act(b, coords)
-    assert engine.scale_bits == 0
     assert _fan.encode(4, engine.vals) == (coords.a, coords.b)
 
 
