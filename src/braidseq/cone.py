@@ -5,19 +5,20 @@ isomorphisms, and normalized entropy of classes.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from math import gcd
 
 from . import dynnikov
 from .standard import StandardForm, class_to_braid, odd_continued_fraction, TwistProgram
+from .words import Record
 
 
-@dataclass(frozen=True)
-class ConeClass:
+class ConeClass(Record):
     """Integer class x*[F] + y*[E]."""
 
-    x: int
-    y: int
+    _fields = ("x", "y")
+
+    def __init__(self, x: int, y: int):
+        self.__dict__.update(x=x, y=y)
 
     def is_interior(self) -> bool:
         return self.x > 0 and self.y > 0
@@ -33,16 +34,15 @@ class ConeClass:
         return ConeClass(self.x // g, self.y // g), g
 
 
-@dataclass(frozen=True)
-class ConeContext:
+class ConeContext(Record):
     """Seed data (n, u) fixing the cone's norm."""
 
-    n: int
-    u: int
+    _fields = ("n", "u")
 
-    def __post_init__(self):
-        if self.n < 3 or self.u < 1:
+    def __init__(self, n: int, u: int):
+        if n < 3 or u < 1:
             raise ValueError("need n >= 3, u >= 1")
+        self.__dict__.update(n=n, u=u)
 
     @staticmethod
     def of_seed(sf: StandardForm) -> "ConeContext":

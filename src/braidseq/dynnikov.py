@@ -18,12 +18,11 @@ from __future__ import annotations
 
 import math
 import operator
-from dataclasses import dataclass
 from functools import lru_cache
 
 from . import _fan
 from ._kernel_py import PureEngine
-from .words import BraidWord, DegreeMismatch
+from .words import BraidWord, DegreeMismatch, Record
 
 _CEngine = None                         # read by perfbench/spans.py
 
@@ -31,8 +30,7 @@ DEFAULT_TOL = 1e-9
 DEFAULT_MAX_ITER = 512
 
 
-@dataclass(frozen=True)
-class CurveCoordinates:
+class CurveCoordinates(Record):
     """Coordinates of a curve system on the n-punctured disk.
 
     Two integer sequences of length n-2: ``a[i]`` is half the difference of
@@ -42,20 +40,18 @@ class CurveCoordinates:
     float, string or fraction raises ``ValueError``.
     """
 
-    a: tuple[int, ...]
-    b: tuple[int, ...]
+    _fields = ("a", "b")
 
-    def __post_init__(self):
-        if len(self.a) != len(self.b):
+    def __init__(self, a: tuple[int, ...], b: tuple[int, ...]):
+        if len(a) != len(b):
             raise ValueError("a and b must have equal length")
         try:
-            a = tuple(map(operator.index, self.a))
-            b = tuple(map(operator.index, self.b))
+            a_int = tuple(map(operator.index, a))
+            b_int = tuple(map(operator.index, b))
         except TypeError:
             raise ValueError("curve coordinates must be integers, got "
-                             f"a={self.a!r}, b={self.b!r}") from None
-        object.__setattr__(self, "a", a)
-        object.__setattr__(self, "b", b)
+                             f"a={a!r}, b={b!r}") from None
+        self.__dict__.update(a=a_int, b=b_int)
 
     @property
     def degree(self) -> int:
@@ -104,8 +100,7 @@ def act(word: BraidWord, coords: CurveCoordinates) -> CurveCoordinates:
     return CurveCoordinates(a, b)
 
 
-@dataclass(frozen=True)
-class EntropyEstimate:
+class EntropyEstimate(Record):
     """Growth-rate value with iteration diagnostics.
 
     ``method`` says what decided a converged value: ``linear_piece`` (an
@@ -118,13 +113,15 @@ class EntropyEstimate:
     growth rates.
     """
 
-    value: float
-    iterations: int
-    last_delta: float
-    converged: bool
-    method: str
-    cycle: int | None = None
-    kernel: str = "pure"
+    _fields = ("value", "iterations", "last_delta", "converged", "method",
+               "cycle", "kernel")
+
+    def __init__(self, value: float, iterations: int, last_delta: float,
+                 converged: bool, method: str, cycle: int | None = None,
+                 kernel: str = "pure"):
+        self.__dict__.update(value=value, iterations=iterations,
+                             last_delta=last_delta, converged=converged,
+                             method=method, cycle=cycle, kernel=kernel)
 
     def require_converged(self) -> "EntropyEstimate":
         if not self.converged:
@@ -307,10 +304,11 @@ def _shifted_solve(rows: list[list[float]], sigma: float,
     return y
 
 
-@dataclass(frozen=True)
-class EqualityVerdict:
-    equal: bool
-    witness: str | None = None
+class EqualityVerdict(Record):
+    _fields = ("equal", "witness")
+
+    def __init__(self, equal: bool, witness: str | None = None):
+        self.__dict__.update(equal=equal, witness=witness)
 
     def __bool__(self) -> bool:
         return self.equal

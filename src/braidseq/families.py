@@ -11,12 +11,11 @@ displayed closed forms; golden tests compare letter-for-letter.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from math import log, sqrt
 
 from . import dynnikov
 from .standard import StandardForm, class_to_braid
-from .words import BraidWord
+from .words import BraidWord, Record
 
 SEEDED = ("z", "beta", "b_p")
 CLOSED_FORM = ("xi", "eta", "o", "v")
@@ -25,34 +24,33 @@ CLOSED_FORM = ("xi", "eta", "o", "v")
 DEFAULT_Z_SEED = StandardForm(3, ((-1,),))
 
 
-@dataclass(frozen=True)
-class FamilySpec:
+class FamilySpec(Record):
     """A family name with its parameter and optional seed data."""
 
-    name: str
-    p: int
-    seed: StandardForm | None = None
-    pre_twist: int = 0
+    _fields = ("name", "p", "seed", "pre_twist")
 
-    def __post_init__(self):
-        if self.name not in SEEDED + CLOSED_FORM:
-            raise ValueError(f"unknown family {self.name!r}")
-        if self.p < 1:
+    def __init__(self, name: str, p: int, seed: StandardForm | None = None,
+                 pre_twist: int = 0):
+        if name not in SEEDED + CLOSED_FORM:
+            raise ValueError(f"unknown family {name!r}")
+        if p < 1:
             raise ValueError("family parameter must be >= 1")
-        if self.pre_twist < 0:
+        if pre_twist < 0:
             raise ValueError("pre-twist must be >= 0")
-        if self.pre_twist and self.name != "z":
-            raise ValueError(f"family {self.name} takes no pre-twist")
-        if self.seed is not None and self.name in CLOSED_FORM:
-            raise ValueError(f"family {self.name} takes no seed")
+        if pre_twist and name != "z":
+            raise ValueError(f"family {name} takes no pre-twist")
+        if seed is not None and name in CLOSED_FORM:
+            raise ValueError(f"family {name} takes no seed")
+        self.__dict__.update(name=name, p=p, seed=seed, pre_twist=pre_twist)
 
 
-@dataclass(frozen=True)
-class FamilyMember:
+class FamilyMember(Record):
     """A generated braid with its optional spherical companion."""
 
-    word: BraidWord
-    companion: BraidWord | None = None
+    _fields = ("word", "companion")
+
+    def __init__(self, word: BraidWord, companion: BraidWord | None = None):
+        self.__dict__.update(word=word, companion=companion)
 
 
 def generate(spec: FamilySpec) -> FamilyMember:

@@ -9,16 +9,18 @@ composition rule for full twists, and accepts user-supplied orbit data.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
 from math import gcd
 
+from .words import Record
 
-@dataclass(frozen=True)
-class TorusClass:
+
+class TorusClass(Record):
     """Homology class of curves on a boundary torus, meridian-longitude basis."""
 
-    p: int
-    q: int
+    _fields = ("p", "q")
+
+    def __init__(self, p: int, q: int):
+        self.__dict__.update(p=p, q=q)
 
     def is_primitive(self) -> bool:
         return gcd(self.p, self.q) == 1
@@ -27,8 +29,7 @@ class TorusClass:
         return TorusClass(self.p + other.p, self.q + other.q)
 
 
-@dataclass(frozen=True)
-class OrbitData:
+class OrbitData(Record):
     """Closed-orbit classes on the axis torus and the strand torus.
 
     Every closed orbit travels around the flow direction, so the axis class
@@ -36,14 +37,14 @@ class OrbitData:
     coordinate.
     """
 
-    c_axis: TorusClass
-    c_strand: TorusClass
+    _fields = ("c_axis", "c_strand")
 
-    def __post_init__(self):
-        if self.c_axis.p == 0:
+    def __init__(self, c_axis: TorusClass, c_strand: TorusClass):
+        if c_axis.p == 0:
             raise ValueError("axis orbit class needs meridian coordinate != 0")
-        if self.c_strand.q == 0:
+        if c_strand.q == 0:
             raise ValueError("strand orbit class needs longitude coordinate != 0")
+        self.__dict__.update(c_axis=c_axis, c_strand=c_strand)
 
 
 #: closed-orbit classes for b = s1^-1 s2^2 s1^-1 s2^2 in B_3 (3-increasing,

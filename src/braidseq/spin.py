@@ -9,9 +9,7 @@ v -> v + (v, c)_2 * c, so t_j and t_j^-1 agree mod 2.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
-
-from .words import BraidWord
+from .words import BraidWord, Record
 
 
 def pairing(v: int, w: int, g: int) -> int:
@@ -43,13 +41,15 @@ def chain_classes(g: int) -> tuple[int, ...]:
     return tuple(classes)
 
 
-@dataclass(frozen=True)
-class QuadraticForm:
-    """Form determined by its basis values; evaluation uses the polarization
-    rule q(v + w) = q(v) + q(w) + (v, w)_2."""
+class QuadraticForm(Record):
+    """Form determined by its basis values (bit i is the value on basis
+    vector i); evaluation uses the polarization rule
+    q(v + w) = q(v) + q(w) + (v, w)_2."""
 
-    basis_values: int            # bit i = value on basis vector i
-    genus: int
+    _fields = ("basis_values", "genus")
+
+    def __init__(self, basis_values: int, genus: int):
+        self.__dict__.update(basis_values=basis_values, genus=genus)
 
     def __call__(self, v: int) -> int:
         acc = 0
@@ -73,18 +73,17 @@ def q1(g: int) -> QuadraticForm:
     return QuadraticForm(0b11, g)
 
 
-@dataclass(frozen=True)
-class MappingWord:
+class MappingWord(Record):
     """A word in the chain twists t_1..t_{2g+1} (signed indices)."""
 
-    genus: int
-    letters: tuple[int, ...]
+    _fields = ("genus", "letters")
 
-    def __post_init__(self):
-        for t in self.letters:
-            if t == 0 or abs(t) > 2 * self.genus + 1:
+    def __init__(self, genus: int, letters: tuple[int, ...]):
+        for t in letters:
+            if t == 0 or abs(t) > 2 * genus + 1:
                 raise ValueError(f"twist index {t} out of range for genus "
-                                 f"{self.genus}")
+                                 f"{genus}")
+        self.__dict__.update(genus=genus, letters=letters)
 
 
 def transvect(v: int, c: int, g: int) -> int:

@@ -11,33 +11,31 @@ power), a disk-twist step re-embeds the braid at degree d + p*u.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from math import gcd
 
-from .words import BraidWord, full_twist, rho
+from .words import BraidWord, Record, full_twist, rho
 
 
 class BlockIndexError(ValueError):
     """A block word uses the reserved index d-1 or worse."""
 
 
-@dataclass(frozen=True)
-class TwistProgram:
+class TwistProgram(Record):
     """Alternating twist instructions p_1, ..., p_j.
 
     Odd positions are disk-twist steps (p_1 may be 0, meaning none), even
     positions are full-twist powers; entries after the first must be >= 1.
     """
 
-    entries: tuple[int, ...]
+    _fields = ("entries",)
 
-    def __post_init__(self):
-        e = tuple(int(x) for x in self.entries)
-        object.__setattr__(self, "entries", e)
+    def __init__(self, entries: tuple[int, ...]):
+        e = tuple(int(x) for x in entries)
         if not e:
             raise ValueError("empty twist program")
         if e[0] < 0 or any(x < 1 for x in e[1:]):
             raise ValueError(f"malformed twist program {e}")
+        self.__dict__.update(entries=e)
 
     def __len__(self) -> int:
         return len(self.entries)
@@ -52,28 +50,26 @@ class TwistProgram:
         return acc
 
 
-@dataclass(frozen=True)
-class StandardForm:
+class StandardForm(Record):
     """Block decomposition (w_1 s_{d-1}^2) ... (w_u s_{d-1}^2)."""
 
-    degree: int
-    blocks: tuple[tuple[int, ...], ...]
-    seed_blocks: int | None = None
+    _fields = ("degree", "blocks", "seed_blocks")
 
-    def __post_init__(self):
-        if self.degree < 3:
+    def __init__(self, degree: int, blocks: tuple[tuple[int, ...], ...],
+                 seed_blocks: int | None = None):
+        if degree < 3:
             raise ValueError("standard forms need degree >= 3")
-        blocks = tuple(tuple(b) for b in self.blocks)
+        blocks = tuple(tuple(b) for b in blocks)
         if not blocks:
             raise ValueError("at least one block required")
         for b in blocks:
             for x in b:
-                if x == 0 or abs(x) > self.degree - 2:
+                if x == 0 or abs(x) > degree - 2:
                     raise BlockIndexError(
-                        f"block letter {x} out of range 1..{self.degree - 2}")
-        object.__setattr__(self, "blocks", blocks)
-        if self.seed_blocks is None:
-            object.__setattr__(self, "seed_blocks", len(blocks))
+                        f"block letter {x} out of range 1..{degree - 2}")
+        if seed_blocks is None:
+            seed_blocks = len(blocks)
+        self.__dict__.update(degree=degree, blocks=blocks, seed_blocks=seed_blocks)
 
     @property
     def u(self) -> int:

@@ -9,9 +9,7 @@ quadratic algebraic number determined by the trace.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
-
-from .words import BraidWord
+from .words import BraidWord, Record
 
 # Letter matrices: sigma_1^-1 and sigma_2 act by the two elementary
 # transvections.  The assignment is fixed canonically; both choices give
@@ -24,14 +22,13 @@ class NotPAWord(ValueError):
     """Input is not a word in {sigma_1^-1, sigma_2} using both letters."""
 
 
-@dataclass(frozen=True)
-class Matrix2:
+class Matrix2(Record):
     """2x2 integer matrix with exact (arbitrary-precision) entries."""
 
-    a: int
-    b: int
-    c: int
-    d: int
+    _fields = ("a", "b", "c", "d")
+
+    def __init__(self, a: int, b: int, c: int, d: int):
+        self.__dict__.update(a=a, b=b, c=c, d=d)
 
     def __mul__(self, other: "Matrix2") -> "Matrix2":
         return Matrix2(self.a * other.a + self.b * other.c,
@@ -77,11 +74,13 @@ def transition_matrix(word: BraidWord) -> Matrix2:
     return m
 
 
-@dataclass(frozen=True)
-class ExactDilatation:
+class ExactDilatation(Record):
     """lambda = (tr + sqrt(tr^2 - 4)) / 2 with the trace kept exact."""
 
-    trace: int
+    _fields = ("trace",)
+
+    def __init__(self, trace: int):
+        self.__dict__.update(trace=trace)
 
     @property
     def discriminant(self) -> int:

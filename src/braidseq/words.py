@@ -11,7 +11,40 @@ i.e. the last letter of a word is the bottom crossing of the diagram.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+
+class Record:
+    """An immutable value with the fields named in ``_fields``.
+
+    ``__init__`` checks its arguments and stores them with
+    ``self.__dict__.update``; assignment afterwards raises.  Two records are
+    equal when they are of the same class with equal fields, and hash
+    accordingly, as frozen dataclasses do.  (``dataclasses`` would load
+    ``inspect`` at the start of every command.)
+    """
+
+    _fields: tuple[str, ...] = ()
+
+    def _values(self) -> tuple:
+        return tuple(map(self.__dict__.__getitem__, self._fields))
+
+    def __eq__(self, other):
+        if other.__class__ is self.__class__:
+            return self._values() == other._values()
+        return NotImplemented
+
+    def __hash__(self) -> int:
+        return hash(self._values())
+
+    def __repr__(self) -> str:
+        fields = ", ".join(f"{name}={value!r}"
+                           for name, value in zip(self._fields, self._values()))
+        return f"{type(self).__name__}({fields})"
+
+    def __setattr__(self, name, value):
+        raise AttributeError(f"cannot assign to field {name!r}")
+
+    def __delattr__(self, name):
+        raise AttributeError(f"cannot delete field {name!r}")
 
 
 class DegreeMismatch(ValueError):
@@ -22,16 +55,16 @@ class StrandNotFixed(ValueError):
     """Raised when a strand operation needs pi_b(i) = i and it fails."""
 
 
-@dataclass(frozen=True)
-class Permutation:
+class Permutation(Record):
     """A permutation of {1..n}, stored as the tuple of images."""
 
-    images: tuple[int, ...]
+    _fields = ("images",)
 
-    def __post_init__(self):
-        n = len(self.images)
-        if sorted(self.images) != list(range(1, n + 1)):
-            raise ValueError(f"not a permutation of 1..{n}: {self.images}")
+    def __init__(self, images: tuple[int, ...]):
+        n = len(images)
+        if sorted(images) != list(range(1, n + 1)):
+            raise ValueError(f"not a permutation of 1..{n}: {images}")
+        self.__dict__.update(images=images)
 
     @property
     def degree(self) -> int:
@@ -77,24 +110,23 @@ class Permutation:
         return out
 
 
-@dataclass(frozen=True)
-class BraidWord:
+class BraidWord(Record):
     """A braid word in B_n (or SB_n when ``spherical`` is set).
 
     Immutable; all operations return new values.
     """
 
-    degree: int
-    letters: tuple[int, ...] = field(default_factory=tuple)
-    spherical: bool = False
+    _fields = ("degree", "letters", "spherical")
 
-    def __post_init__(self):
-        if self.degree < 2:
+    def __init__(self, degree: int, letters: tuple[int, ...] = (),
+                 spherical: bool = False):
+        if degree < 2:
             raise ValueError("braid degree must be >= 2")
-        object.__setattr__(self, "letters", tuple(self.letters))
-        for x in self.letters:
-            if x == 0 or abs(x) > self.degree - 1:
-                raise ValueError(f"letter {x} out of range for degree {self.degree}")
+        letters = tuple(letters)
+        for x in letters:
+            if x == 0 or abs(x) > degree - 1:
+                raise ValueError(f"letter {x} out of range for degree {degree}")
+        self.__dict__.update(degree=degree, letters=letters, spherical=spherical)
 
     # -- basic algebra ----------------------------------------------------
 
@@ -291,20 +323,24 @@ def _check_sub_index(n: int, j: int):
 
 # -- linking data ---------------------------------------------------------
 
-@dataclass(frozen=True)
-class LinkingProfile:
+class LinkingProfile(Record):
     """Per-component linking numbers of cl(b(i)) with the other closure
     components, the total intersection number u, and the monotonicity verdict.
+
+    ``components`` holds (cycle, linking number) pairs; ``verdict`` is
+    "increasing", "decreasing" or "indeterminate".  ``conclusive`` is True
+    only for positive words, where an `increasing` verdict is certified
+    provided the braid is irreducible; for all other inputs the verdict is a
+    necessary-condition check and never aborts construction.
     """
 
-    strand: int
-    components: tuple[tuple[tuple[int, ...], int], ...]  # (cycle, linking number)
-    verdict: str          # "increasing" | "decreasing" | "indeterminate"
-    u: int
-    # True only for positive words, where an `increasing` verdict is
-    # certified provided the braid is irreducible; for all other inputs the
-    # verdict is a necessary-condition check and never aborts construction.
-    conclusive: bool
+    _fields = ("strand", "components", "verdict", "u", "conclusive")
+
+    def __init__(self, strand: int,
+                 components: tuple[tuple[tuple[int, ...], int], ...],
+                 verdict: str, u: int, conclusive: bool):
+        self.__dict__.update(strand=strand, components=components,
+                             verdict=verdict, u=u, conclusive=conclusive)
 
     @property
     def epsilon(self) -> int:

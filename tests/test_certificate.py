@@ -15,10 +15,9 @@ from fractions import Fraction
 from pathlib import Path
 
 import pytest
-from click.testing import CliRunner
+from conftest import invoke
 
 from braidseq import _fan, _kernel_py, dynnikov
-from braidseq.cli import main
 from braidseq.dynnikov import DEFAULT_TOL, entropy_estimate
 from braidseq.families import FamilySpec, generate
 from braidseq.standard import StandardForm, class_to_braid
@@ -185,7 +184,7 @@ def test_a_cycling_word_certifies_from_its_cycle():
     assert est.converged and est.method == "linear_piece"
     assert est.iterations == 12 and est.cycle == 4
     assert abs(est.value - 0.6329743192) < 1e-9
-    res = CliRunner().invoke(main, ["entropy", "--braid", "B7 3 1 2 1 -5 4 -6"])
+    res = invoke(["entropy", "--braid", "B7 3 1 2 1 -5 4 -6"])
     assert res.exit_code == 0, res.output
 
 

@@ -8,14 +8,13 @@ import sys
 from pathlib import Path
 
 import pytest
-from click.testing import CliRunner
+from conftest import invoke
 
 from braidseq import cli
-from braidseq.cli import main
 
 
 def run(*args):
-    return CliRunner().invoke(main, list(args))
+    return invoke(args)
 
 
 def strict_json(text):
@@ -109,17 +108,40 @@ def test_cli_import_loads_no_numerics_library():
 
 def test_cli_import_loads_only_what_estimating_commands_run():
     # every run compiles and loads these; cone, spin, 3-braid and prong code,
-    # json and hashlib load only in the commands that use them
+    # json and hashlib load only in the commands that use them, and no
+    # command loads click, dataclasses or inspect
     code = ("import sys, braidseq.cli; "
             "print(sorted(m for m in sys.modules if m.startswith('braidseq'))); "
             "print(sorted({'json', 'hashlib', 'fractions', 'decimal'}"
-            " & set(sys.modules)))")
+            " & set(sys.modules))); "
+            "print(sorted({'click', 'dataclasses', 'inspect'} & set(sys.modules)))")
     out = fresh("-c", code)
     assert out.returncode == 0, out.stderr
     modules = ["braidseq", "braidseq._fan", "braidseq._kernel_py",
                "braidseq.cli", "braidseq.dynnikov", "braidseq.families",
                "braidseq.standard", "braidseq.words"]
-    assert out.stdout.splitlines() == [repr(modules), "[]"]
+    assert out.stdout.splitlines() == [repr(modules), "[]", "[]"]
+    # a whole command: -X importtime lists every module the run imports
+    out = fresh("-X", "importtime", "-m", "braidseq.cli", "reproduce", "thm1.1")
+    assert out.returncode == 0, out.stderr
+    imported = {line.rpartition("|")[2].strip()
+                for line in out.stderr.splitlines()
+                if line.startswith("import time:")}
+    assert "braidseq.dynnikov" in imported
+    assert not {"click", "dataclasses", "inspect"} & imported
+
+
+def test_traced_cli_prints_what_the_cli_prints(tmp_path):
+    # perfbench/traced_cli.py runs a command with layer spans (benchmark
+    # runs with --trace 1); it calls the CLI's entry point in-process
+    traced_cli = Path(SRC).parent / "perfbench" / "traced_cli.py"
+    spans = tmp_path / "spans.json.gz"
+    traced = fresh(str(traced_cli), str(spans), "0", "reproduce", "thm1.1")
+    plain = fresh("-m", "braidseq.cli", "reproduce", "thm1.1")
+    assert traced.returncode == 0, traced.stderr
+    assert plain.returncode == 0, plain.stderr
+    assert traced.stdout == plain.stdout
+    assert spans.stat().st_size > 0
 
 
 def test_cli_import_fills_no_cache():
@@ -375,6 +397,9 @@ def test_cone_braid_word():
     ("family", "xi", "--p", "a..b"),
     ("family", "xi", "--p", "0"),
     ("cone", "norm", "--n", "3", "--u", "1", "--class", "5"),
+    ("bogus",),
+    ("entropy", "--braid", "1 -2", "--tol", "abc"),
+    ("entropy",),
 ])
 def test_rejected_input_is_a_usage_error(args):
     res = run(*args)
@@ -422,7 +447,30 @@ USAGE_MESSAGES = {
     ("family", "xi", "--p", "a..b"): "expected a value or range",
     ("family", "xi", "--p", "0"): "parameters must be >= 1",
     ("cone", "norm", "--n", "3", "--u", "1", "--class", "5"): "expected a class like 5,14",
+    # an option value that starts with "-" is a value, not an option
+    ("cone", "braid", "--seed-blocks", "-1|-1", "--seed-degree", "3",
+     "--class", "2,4"): "(2, 4) is not primitive",
+    ("cone", "norm", "--n", "3", "--u", "1", "--class", "-1,2"):
+        "norm is computed on nonzero classes",
+    ("bogus",): "'bogus'",
+    ("entropy", "--braid", "1 -2", "--tol", "abc"): "Invalid value for '--tol'",
+    ("entropy",): "--braid",
 }
+
+
+def test_no_arguments_print_the_help_as_a_usage_error():
+    out = fresh("-m", "braidseq.cli")
+    assert out.returncode == 2
+    assert out.stdout == ""
+    assert out.stderr.startswith("Usage:")
+    assert all(name in out.stderr for name in ("entropy", "family", "reproduce"))
+
+
+def test_help_exits_zero():
+    res = run("--help")
+    assert res.exit_code == 0
+    assert res.output.startswith("Usage:")
+    assert all(name in res.output for name in ("entropy", "family", "reproduce"))
 
 
 def test_manifest_that_is_not_json_is_a_usage_error(tmp_path):
@@ -446,9 +494,11 @@ def test_csv_file_and_manifest_match_stdout(tmp_path):
     doc = json.loads(manifest.read_text())
     assert doc["command"] == "family xi"
     assert doc["outputs_digest"] == hashlib.sha256(stdout.encode()).hexdigest()
-    assert doc["arguments"]["p_range"] == "1..2"
-    declared = {param.name for param in main.commands["family"].params}
-    assert set(doc["arguments"]) == declared
+    assert doc["arguments"] == {
+        "name": "xi", "p_range": "1..2", "seed_blocks": None,
+        "seed_degree": None, "pre_twist": 0, "with_entropy": False,
+        "tol": 1e-9, "max_iter": 4096, "csv_path": str(csv_path),
+        "manifest": str(manifest)}
 
 
 # exact stdout of commands that write through ``_emit`` or estimate through
@@ -526,32 +576,46 @@ def test_cone_braid_readme_golden():
         "224eba1c129610b5815665f23d1e479ce35e0d912de57a95f696e0c16d3746d2"
 
 
-def _mentions(name: str) -> set[str]:
-    """Scopes of cli.py (``Class.method`` for methods, ``<module>`` at top
-    level) whose code names ``name``, as an attribute, a name or an import."""
-    found = set()
-
+def _scoped():
+    """(scope, node) for every node of cli.py; the scope is ``Class.method``
+    for methods and ``<module>`` at top level."""
     def visit(node, scope):
         for child in ast.iter_child_nodes(node):
             inner = scope
             if isinstance(child, (ast.FunctionDef, ast.ClassDef)):
                 inner = scope + (child.name,)
-            named = (child.attr if isinstance(child, ast.Attribute) else
-                     child.id if isinstance(child, ast.Name) else
-                     child.name if isinstance(child, ast.alias) else None)
-            if named == name:
-                found.add(".".join(inner) or "<module>")
-            visit(child, inner)
+            yield ".".join(inner) or "<module>", child
+            yield from visit(child, inner)
 
-    visit(ast.parse(Path(cli.__file__).read_text()), ())
-    return found
+    return visit(ast.parse(Path(cli.__file__).read_text()), ())
 
 
-@pytest.mark.parametrize("name, owner", [
-    ("echo", "_emit"),                     # one writer
-    ("exit", "_emit"),                     # one exit-1 rule
-    ("UsageError", "_Command.invoke"),     # one error boundary
-    ("entropy_estimate", "_estimate"),     # one estimate path
-])
-def test_cli_has_one_path_per_job(name, owner):
-    assert _mentions(name) == {owner}
+def _named(node):
+    return (node.attr if isinstance(node, ast.Attribute) else
+            node.id if isinstance(node, ast.Name) else
+            node.name if isinstance(node, ast.alias) else None)
+
+
+def _mentions(name: str) -> set[str]:
+    """Scopes of cli.py whose code names ``name``, as an attribute, a name or
+    an import."""
+    return {scope for scope, node in _scoped() if _named(node) == name}
+
+
+@pytest.mark.parametrize("name, owners", [
+    ("stdout", {"_emit"}),                         # one writer
+    # one error boundary for library ValueErrors (main); the parser turns
+    # an option value its type rejects into the same usage error
+    ("error", {"main", "_Parser.parse_known_args"}),
+    ("entropy_estimate", {"_estimate"}),           # one estimate path
+], ids=["stdout", "error", "entropy_estimate"])
+def test_cli_has_one_path_per_job(name, owners):
+    assert _mentions(name) == owners
+
+
+def test_cli_decides_exit_1_in_one_place():
+    # (scope, code) of every exit call: 1 only in _emit; 2 for a usage error
+    # and for a group named without its command
+    exits = {(scope, node.args[0].value) for scope, node in _scoped()
+             if isinstance(node, ast.Call) and _named(node.func) == "exit"}
+    assert exits == {("_emit", 1), ("_Parser.error", 2), ("main", 2)}

@@ -8,9 +8,7 @@ import shlex
 from pathlib import Path
 
 import pytest
-from click.testing import CliRunner
-
-from braidseq.cli import main
+from conftest import invoke
 
 README = (Path(__file__).resolve().parent.parent / "README.md").read_text()
 
@@ -31,7 +29,7 @@ def test_readme_cli_block_is_found():
 @pytest.mark.parametrize("line", CLI_LINES)
 def test_readme_cli_line_exits_zero(line, tmp_path, monkeypatch):
     monkeypatch.chdir(tmp_path)
-    res = CliRunner().invoke(main, shlex.split(line)[1:])
+    res = invoke(shlex.split(line)[1:])
     assert res.exit_code == 0, res.output
 
 
