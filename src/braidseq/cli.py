@@ -14,9 +14,9 @@ One path per job: ``_estimate`` is the only caller of the estimator,
 and ``main`` the only place a ``ValueError`` becomes a usage error.
 
 Start-up is paid on every run, so the module level imports only what the
-estimating commands and option defaults need; cone, spin, 3-braid and
-prong code, ``json`` and ``hashlib`` load inside the commands that use
-them, by name, since ``cone`` and ``spin`` are also group names here.
+estimating commands and option defaults need; spin, 3-braid and prong code,
+``json`` and ``hashlib`` load inside the commands that use them, by name,
+since ``spin`` is also a group name here.
 """
 
 from __future__ import annotations
@@ -28,8 +28,9 @@ import math
 import sys
 
 from . import __version__, dynnikov
-from .families import FamilySpec, generate, is_palindromic, is_skew_palindromic
-from .standard import StandardForm, class_to_braid
+from .families import (CLOSED_FORM, SEEDED, FamilySpec, generate,
+                       is_palindromic, is_skew_palindromic)
+from .standard import StandardForm, class_to_braid, thurston_norm
 from .words import BraidWord, linking_profile, make_generator
 
 
@@ -359,7 +360,7 @@ def _parse_range(text: str) -> list[int]:
 
 
 @_command("family",
-          _arg("name", choices=["xi", "eta", "o", "v", "z", "beta", "b_p"]),
+          _arg("name", choices=CLOSED_FORM + SEEDED),
           _arg("--p", dest="p_range", required=True,
                help="parameter or range, e.g. 1..8"),
           _arg("--seed-blocks", help='blocks like "-1 | -1" for seeded families'),
@@ -407,9 +408,8 @@ def _parse_class(text: str) -> tuple[int, int]:
           _arg("--class", dest="cls", required=True, help="x,y"))
 def cone_norm(inv, n, u, cls):
     """Thurston norm of a class in the seed's cone."""
-    from .cone import ConeClass, ConeContext, thurston_norm
     x, y = _parse_class(cls)
-    _emit(inv, "cone norm", str(thurston_norm(ConeContext(n, u), ConeClass(x, y))))
+    _emit(inv, "cone norm", str(thurston_norm(n, u, x, y)))
 
 
 @_command("cone table",
@@ -420,20 +420,17 @@ def cone_norm(inv, n, u, cls):
           _TOL, _MAX_ITER, _CSV)
 def cone_table(inv, seed_blocks, seed_degree, xmax, ymax, tol, max_iter, csv_path):
     """(x, y, norm, ent, Ent) over primitive interior classes."""
-    from .cone import ConeClass, ConeContext, thurston_norm
     seed = StandardForm.from_blocks_text(seed_blocks, seed_degree)
-    ctx = ConeContext.of_seed(seed)
     rows = []
     for x in range(1, xmax + 1):
         for y in range(1, ymax + 1):
-            cls = ConeClass(x, y)
-            if not cls.is_primitive():
+            if math.gcd(x, y) != 1:
                 continue
             # class_to_braid asserts norm = degree - 1, so Ent = norm * ent
             est, ent = _estimate(inv, class_to_braid(seed, x, y).to_braid_word(),
                                  tol, max_iter)
-            rows.append([x, y, thurston_norm(ctx, cls), repr(est.value),
-                         repr(ent), est.converged])
+            rows.append([x, y, thurston_norm(seed.degree, seed.u, x, y),
+                         repr(est.value), repr(ent), est.converged])
     out = _csv_text(["x", "y", "norm", "ent", "Ent", "converged"], rows)
     _emit(inv, "cone table", out, csv_path=csv_path)
 

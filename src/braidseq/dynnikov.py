@@ -123,17 +123,6 @@ class EntropyEstimate(Record):
                              last_delta=last_delta, converged=converged,
                              method=method, cycle=cycle, kernel=kernel)
 
-    def require_converged(self) -> "EntropyEstimate":
-        if not self.converged:
-            raise EstimatorDiverged(
-                f"no convergence after {self.iterations} iterations "
-                f"(last delta {self.last_delta:.3e})")
-        return self
-
-
-class EstimatorDiverged(RuntimeError):
-    """Estimate did not converge within the iteration budget."""
-
 
 def check_budget(tol: float, max_iter: int) -> None:
     """The estimator's budget rule: a finite tol > 0 and max_iter >= 1."""

@@ -11,8 +11,6 @@ displayed closed forms; golden tests compare letter-for-letter.
 
 from __future__ import annotations
 
-from math import log, sqrt
-
 from . import dynnikov
 from .standard import StandardForm, class_to_braid
 from .words import BraidWord, Record
@@ -98,23 +96,3 @@ def is_skew_palindromic(b: BraidWord, braid_level: bool = False):
         return word_level
     return word_level or bool(dynnikov.braids_equal(b.skew(), b))
 
-
-PALINDROMIC_FLOOR = sqrt(2 + sqrt(5))
-
-
-def palindromic_bound_check(b: BraidWord, tol: float = 1e-7,
-                            max_iter: int = 2048) -> bool:
-    """Check log(lambda) >= log sqrt(2 + sqrt(5)) for a palindromic pA braid.
-
-    Also checks the route through the pure square: the square of a
-    palindromic braid is pure, so ent(b^2) >= log(2 + sqrt(5)).
-    """
-    if not is_palindromic(b, braid_level=True):
-        raise ValueError("input is not palindromic")
-    est = dynnikov.entropy_estimate(b, tol=tol, max_iter=max_iter)
-    est.require_converged()
-    direct = est.value >= log(PALINDROMIC_FLOOR) - tol
-    est_sq = dynnikov.entropy_estimate(b * b, tol=tol, max_iter=max_iter)
-    est_sq.require_converged()
-    squared = est_sq.value >= log(2 + sqrt(5)) - tol
-    return direct and squared

@@ -22,9 +22,6 @@ class TorusClass(Record):
     def __init__(self, p: int, q: int):
         self.__dict__.update(p=p, q=q)
 
-    def is_primitive(self) -> bool:
-        return gcd(self.p, self.q) == 1
-
     def __add__(self, other: "TorusClass") -> "TorusClass":
         return TorusClass(self.p + other.p, self.q + other.q)
 
@@ -55,12 +52,14 @@ PRESETS = {"sigma1i-sq": PRESET_SIGMA1I_SQ}
 
 
 def boundary_slopes(epsilon: int, x: int, y: int) -> tuple[TorusClass, TorusClass]:
-    """Boundary classes of the fiber of (x, y): axis (-eps*y, x), strand
-    (-eps*x, y)."""
+    """Boundary classes of the fiber of the primitive class (x, y) of the
+    cone: axis (-eps*y, x), strand (-eps*x, y)."""
     if epsilon not in (1, -1):
         raise ValueError("epsilon must be +-1")
     if gcd(x, y) != 1:
         raise ValueError(f"({x}, {y}) is not primitive")
+    if x < 1 or y < 0:
+        raise ValueError("need x >= 1 and y >= 0")
     return TorusClass(-epsilon * y, x), TorusClass(-epsilon * x, y)
 
 

@@ -104,26 +104,6 @@ def homology_action(word: MappingWord) -> tuple[int, ...]:
     return tuple(images)
 
 
-def apply_matrix(matrix: tuple[int, ...], v: int) -> int:
-    out = 0
-    i = 0
-    while v:
-        if v & 1:
-            out ^= matrix[i]
-        v >>= 1
-        i += 1
-    return out
-
-
-def is_symplectic(matrix: tuple[int, ...], g: int) -> bool:
-    for i in range(2 * g):
-        for j in range(i + 1, 2 * g):
-            want = pairing(1 << i, 1 << j, g)
-            if pairing(matrix[i], matrix[j], g) != want:
-                return False
-    return True
-
-
 def preserves_form(word: MappingWord, q: QuadraticForm) -> bool:
     """Whether q o phi_* = q.  Checking basis vectors suffices: the action
     is symplectic and q obeys the polarization rule."""

@@ -1,6 +1,7 @@
 """Standard forms of d-increasing braids and the twist-step apparatus:
 full-twist steps, disk-twist steps, twist programs, the odd continued
-fraction map, and the gamma word construction.
+fraction map from cone classes to monodromy braids, the Thurston norm on
+the cone, and the gamma word construction.
 
 A standard form with blocks w_1..w_u at degree d represents the braid
 (w_1 s_{d-1}^2) ... (w_u s_{d-1}^2), which is d-increasing with
@@ -37,18 +38,6 @@ class TwistProgram(Record):
             raise ValueError(f"malformed twist program {e}")
         self.__dict__.update(entries=e)
 
-    def __len__(self) -> int:
-        return len(self.entries)
-
-    def value(self):
-        """The continued fraction p_1 + 1/(p_2 + 1/(... + 1/p_j)), exact as a
-        ``Fraction``."""
-        from fractions import Fraction
-        acc = Fraction(self.entries[-1])
-        for p in reversed(self.entries[:-1]):
-            acc = p + 1 / acc if acc else Fraction(p)
-        return acc
-
 
 class StandardForm(Record):
     """Block decomposition (w_1 s_{d-1}^2) ... (w_u s_{d-1}^2)."""
@@ -75,11 +64,6 @@ class StandardForm(Record):
     def u(self) -> int:
         """Intersection number of the represented braid with its disk."""
         return len(self.blocks)
-
-    @property
-    def increasing_strand(self) -> int:
-        """The represented braid is degree-increasing: the last strand."""
-        return self.degree
 
     def to_braid_word(self) -> BraidWord:
         """Literal word: each block followed by s_{d-1}^2."""
@@ -163,14 +147,26 @@ def odd_continued_fraction(x: int, y: int) -> TwistProgram:
     return TwistProgram(tuple(entries))
 
 
+def thurston_norm(n: int, u: int, x: int, y: int) -> int:
+    """Thurston norm (n-1)x + u*y of the class (x, y) in the cone of a seed
+    of degree n with u blocks; the norm is linear on the closed cone."""
+    if n < 3 or u < 1:
+        raise ValueError("need n >= 3, u >= 1")
+    if x < 0 or y < 0 or (x == 0 and y == 0):
+        raise ValueError("norm is computed on nonzero classes of the "
+                         "closed cone (x, y >= 0)")
+    return (n - 1) * x + u * y
+
+
 def class_to_braid(sf: StandardForm, x: int, y: int) -> StandardForm:
     """Standard form of the monodromy braid of the cone class (x, y).
 
-    The resulting degree obeys d - 1 = (n-1)x + u*y for the seed's (n, u).
+    The resulting degree obeys d - 1 = ||(x, y)||, the Thurston norm for the
+    seed's (n, u).
     """
     prog = odd_continued_fraction(x, y)
     out = apply_program(sf, prog)
-    expect = (sf.degree - 1) * x + sf.u * y
+    expect = thurston_norm(sf.degree, sf.u, x, y)
     if out.degree - 1 != expect:
         raise AssertionError(
             f"degree law violated: {out.degree - 1} != {expect}")

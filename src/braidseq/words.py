@@ -150,11 +150,6 @@ class BraidWord(Record):
         return BraidWord(self.degree, tuple(-x for x in reversed(self.letters)),
                          self.spherical)
 
-    def conjugated_by(self, g: "BraidWord") -> "BraidWord":
-        """g * self * g^-1."""
-        self._check_compatible(g)
-        return g * self * g.inverse()
-
     def free_reduced(self) -> "BraidWord":
         """Delete adjacent (j, -j) pairs until none remain."""
         out: list[int] = []
@@ -341,14 +336,6 @@ class LinkingProfile(Record):
                  verdict: str, u: int, conclusive: bool):
         self.__dict__.update(strand=strand, components=components,
                              verdict=verdict, u=u, conclusive=conclusive)
-
-    @property
-    def epsilon(self) -> int:
-        if self.verdict == "increasing":
-            return 1
-        if self.verdict == "decreasing":
-            return -1
-        raise ValueError("indeterminate profile has no sign")
 
 
 def linking_profile(b: BraidWord, i: int) -> LinkingProfile:

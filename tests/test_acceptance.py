@@ -12,7 +12,6 @@ import math
 import random
 import time
 
-from braidseq.cone import ConeClass, ConeContext, thurston_norm
 from braidseq.dynnikov import entropy_estimate
 from braidseq.families import FamilySpec, generate, is_skew_palindromic
 from braidseq.foliation import (PRESET_SIGMA1I_SQ, braid_penner_floor,
@@ -21,7 +20,7 @@ from braidseq.foliation import (PRESET_SIGMA1I_SQ, braid_penner_floor,
 from braidseq.spin import MappingWord, lift_braid, preserves_form, q0, q1
 from braidseq.standard import (StandardForm, TwistProgram, apply_program,
                                class_to_braid, ef_gamma,
-                               odd_continued_fraction)
+                               odd_continued_fraction, thurston_norm)
 from braidseq.tribraid import exact_dilatation, transition_matrix
 from braidseq.words import BraidWord, full_twist
 
@@ -158,7 +157,6 @@ def test_criterion_05_continued_fraction_goldens():
 
 @criterion(6)
 def test_criterion_06_degree_norm_law():
-    ctx = ConeContext.of_seed(SEED_32)
     checked = 0
     for x in range(1, 13):
         for y in range(1, 13):
@@ -167,7 +165,7 @@ def test_criterion_06_degree_norm_law():
             sf = class_to_braid(SEED_32, x, y)
             word = sf.to_braid_word()
             assert word.degree - 1 == 2 * x + 2 * y
-            assert thurston_norm(ctx, ConeClass(x, y)) == word.degree - 1
+            assert thurston_norm(3, 2, x, y) == word.degree - 1
             checked += 1
     report(6, f"degree law holds for all {checked} coprime classes <= 12")
 

@@ -107,9 +107,10 @@ def test_cli_import_loads_no_numerics_library():
 
 
 def test_cli_import_loads_only_what_estimating_commands_run():
-    # every run compiles and loads these; cone, spin, 3-braid and prong code,
-    # json and hashlib load only in the commands that use them, and no
-    # command loads click, dataclasses or inspect
+    # every run compiles and loads these, the Thurston norm in standard among
+    # them; spin, 3-braid and prong code, json and hashlib load only in the
+    # commands that use them, and no command loads click, dataclasses or
+    # inspect
     code = ("import sys, braidseq.cli; "
             "print(sorted(m for m in sys.modules if m.startswith('braidseq'))); "
             "print(sorted({'json', 'hashlib', 'fractions', 'decimal'}"
@@ -400,6 +401,10 @@ def test_cone_braid_word():
     ("bogus",),
     ("entropy", "--braid", "1 -2", "--tol", "abc"),
     ("entropy",),
+    # the disk class and classes outside the cone have no fiber to foliate
+    ("prongs", "--class", "0,1"),
+    ("prongs", "--class", "-1,1"),
+    ("prongs", "--class", "1,-3"),
 ])
 def test_rejected_input_is_a_usage_error(args):
     res = run(*args)
@@ -455,6 +460,9 @@ USAGE_MESSAGES = {
     ("bogus",): "'bogus'",
     ("entropy", "--braid", "1 -2", "--tol", "abc"): "Invalid value for '--tol'",
     ("entropy",): "--braid",
+    ("prongs", "--class", "0,1"): "need x >= 1 and y >= 0",
+    ("prongs", "--class", "-1,1"): "need x >= 1 and y >= 0",
+    ("prongs", "--class", "1,-3"): "need x >= 1 and y >= 0",
 }
 
 

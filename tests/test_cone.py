@@ -1,131 +1,157 @@
+"""Cone-class arithmetic: the Thurston norm on the cone, the pushforward
+isomorphisms of the twist steps, and the odd continued fraction as the
+composite of those pushforwards."""
+
 import math
 from math import gcd
 
 import pytest
 
-from braidseq.cone import (ConeClass, ConeContext, fiber_class_of_program,
-                           normalized_entropy_of_class, pushforward_disk_twist,
-                           pushforward_full_twist, thurston_norm)
-from braidseq.standard import StandardForm, TwistProgram, odd_continued_fraction
+from braidseq.dynnikov import entropy_estimate
+from braidseq.standard import (StandardForm, class_to_braid, disk_twist_step,
+                               full_twist_step, odd_continued_fraction,
+                               thurston_norm)
 
-CTX_32 = ConeContext(3, 2)
+SEED_31 = StandardForm(3, ((-1,),))
+SEED_32 = StandardForm(3, ((-1,), (-1,)))
 
 
 def test_norm_basis_values():
-    assert thurston_norm(CTX_32, ConeClass(1, 0)) == 2
-    assert thurston_norm(CTX_32, ConeClass(0, 1)) == 2
-    assert thurston_norm(CTX_32, ConeClass(1, 1)) == 4
+    assert thurston_norm(3, 2, 1, 0) == 2
+    assert thurston_norm(3, 2, 0, 1) == 2
+    assert thurston_norm(3, 2, 1, 1) == 4
 
 
 def test_norm_rejects_zero_and_negative():
-    with pytest.raises(ValueError):
-        thurston_norm(CTX_32, ConeClass(0, 0))
-    with pytest.raises(ValueError):
-        thurston_norm(CTX_32, ConeClass(-1, 2))
+    with pytest.raises(ValueError, match="closed cone"):
+        thurston_norm(3, 2, 0, 0)
+    with pytest.raises(ValueError, match="closed cone"):
+        thurston_norm(3, 2, -1, 2)
 
 
 def test_context_validation():
-    with pytest.raises(ValueError):
-        ConeContext(2, 1)
+    with pytest.raises(ValueError, match="need n >= 3, u >= 1"):
+        thurston_norm(2, 1, 1, 1)
+    with pytest.raises(ValueError, match="need n >= 3, u >= 1"):
+        thurston_norm(3, 0, 1, 1)
 
+
+# The disk-twist step's pushforward sends the class (x, y) over b to
+# (x, y - p*x) over b[p]; the full-twist step's sends (x, y) over b to
+# (x - k*y, y) over b*Delta^2k.  Each pair is one fibered class, so both
+# give the same monodromy braid.
 
 def test_disk_twist_pushforward_examples():
-    assert pushforward_disk_twist(2, ConeClass(3, 7)) == ConeClass(3, 1)
-    assert pushforward_disk_twist(1, ConeClass(1, 1)) == ConeClass(1, 0)
-    assert pushforward_disk_twist(3, ConeClass(0, 1)) == ConeClass(0, 1)
+    for seed in (SEED_31, SEED_32):
+        for p, (x, y) in [(2, (3, 7)), (1, (1, 1)), (3, (1, 3)), (2, (5, 14))]:
+            assert (class_to_braid(seed, x, y)
+                    == class_to_braid(disk_twist_step(seed, p), x, y - p * x))
 
 
 def test_full_twist_pushforward_examples():
-    assert pushforward_full_twist(2, ConeClass(7, 3)) == ConeClass(1, 3)
-    assert pushforward_full_twist(1, ConeClass(1, 1)) == ConeClass(0, 1)
-    assert pushforward_full_twist(5, ConeClass(1, 0)) == ConeClass(1, 0)
+    for seed in (SEED_31, SEED_32):
+        for k, (x, y) in [(2, (7, 3)), (1, (3, 2)), (3, (13, 4)), (2, (14, 5))]:
+            assert (class_to_braid(seed, x, y)
+                    == class_to_braid(full_twist_step(seed, k), x - k * y, y))
 
 
 def test_pushforwards_unimodular_and_primitive():
-    for p in range(1, 6):
-        for x in range(0, 21):
-            for y in range(0, 21):
-                if gcd(x, y) != 1:
-                    continue
-                c = ConeClass(x, y)
-                for img in (pushforward_disk_twist(p, c),
-                            pushforward_full_twist(p, c)):
-                    assert gcd(img.x, img.y) == 1
-
-
-def test_pushforwards_invert_each_other_on_basis():
-    # g_p sends (1,p) to (1,0); its inverse direction recovers the class
-    for p in range(1, 6):
-        img = pushforward_disk_twist(p, ConeClass(1, p))
-        assert img == ConeClass(1, 0)
-        img = pushforward_full_twist(p, ConeClass(p, 1))
-        assert img == ConeClass(0, 1)
-
-
-def test_fiber_class_examples():
-    assert fiber_class_of_program(TwistProgram((3,))) == ConeClass(1, 3)
-    assert fiber_class_of_program(TwistProgram((0, 1, 4))) == ConeClass(5, 4)
-    assert fiber_class_of_program(TwistProgram((0, 4, 1))) == ConeClass(5, 1)
-
-
-def test_fiber_class_round_trip():
+    # every primitive class maps to a primitive class with the same braid
     for x in range(1, 13):
         for y in range(1, 13):
             if gcd(x, y) != 1:
                 continue
-            prog = odd_continued_fraction(x, y)
-            assert fiber_class_of_program(prog) == ConeClass(x, y)
+            braid = class_to_braid(SEED_32, x, y)
+            for p in range(1, y // x + 1):
+                assert gcd(x, y - p * x) == 1
+                assert braid == class_to_braid(disk_twist_step(SEED_32, p),
+                                               x, y - p * x)
+            for k in range(1, (x - 1) // y + 1):
+                assert gcd(x - k * y, y) == 1
+                assert braid == class_to_braid(full_twist_step(SEED_32, k),
+                                               x - k * y, y)
+
+
+def test_pushforward_determinants_are_unimodular():
+    # the inverse maps are integral too: every primitive class over the
+    # twisted seed pulls back to a class over the seed with the same braid
+    for x in range(1, 13):
+        for y in range(0, 13):
+            if gcd(x, y) != 1:
+                continue
+            for p in range(1, 4):
+                assert (class_to_braid(disk_twist_step(SEED_32, p), x, y)
+                        == class_to_braid(SEED_32, x, y + p * x))
+                if y:
+                    assert (class_to_braid(full_twist_step(SEED_32, p), x, y)
+                            == class_to_braid(SEED_32, x + p * y, y))
+
+
+def test_fiber_class_examples():
+    assert odd_continued_fraction(1, 3).entries == (3,)
+    assert odd_continued_fraction(5, 4).entries == (0, 1, 4)
+    assert odd_continued_fraction(5, 1).entries == (0, 4, 1)
+
+
+def test_fiber_class_round_trip():
+    # the inverse pushforwards along the reversed program carry the fiber
+    # class (1, 0) back to (x, y)
+    for x in range(1, 13):
+        for y in range(1, 13):
+            if gcd(x, y) != 1:
+                continue
+            entries = odd_continued_fraction(x, y).entries
+            cx, cy = 1, 0
+            for pos in reversed(range(len(entries))):
+                p = entries[pos]
+                if pos % 2 == 0:
+                    cy += p * cx
+                else:
+                    cx += p * cy
+            assert (cx, cy) == (x, y)
 
 
 def test_fiber_class_rejects_even_length():
-    with pytest.raises(ValueError):
-        fiber_class_of_program(TwistProgram((1, 2)))
+    # 3/2 = 1 + 1/2 has the even expansion (1, 2); the fiber class takes
+    # the odd one
+    assert odd_continued_fraction(2, 3).entries == (1, 1, 1)
 
 
 def test_program_composition_sends_class_to_fiber():
     # the composite pushforward along the program maps (x, y) to (1, 0)
     for x, y in [(5, 14), (14, 5), (3, 4), (7, 2)]:
         prog = odd_continued_fraction(x, y)
-        c = ConeClass(x, y)
+        cx, cy = x, y
         for pos, p in enumerate(prog.entries):
             if pos % 2 == 0:
-                if p:
-                    c = pushforward_disk_twist(p, c)
+                cx, cy = cx, cy - p * cx
             else:
-                c = pushforward_full_twist(p, c)
-        assert c == ConeClass(1, 0)
+                cx, cy = cx - p * cy, cy
+        assert (cx, cy) == (1, 0)
 
 
 def test_normalized_entropy_of_class_seed_value():
-    seed = StandardForm(3, ((-1,),))
-    val = normalized_entropy_of_class(ConeContext.of_seed(seed), seed,
-                                      ConeClass(1, 0))
+    # the class (1, 0) is the fiber of the seed itself, of norm 2
+    word = class_to_braid(SEED_31, 1, 0).to_braid_word()
+    est = entropy_estimate(word)
+    assert est.converged
+    val = thurston_norm(3, 1, 1, 0) * est.value
     assert abs(val - 2 * math.log(2 + math.sqrt(3))) < 1e-8
 
 
 def test_normalized_entropy_constant_on_rays():
-    seed = StandardForm(3, ((-1,), (-1,)))
-    ctx = ConeContext.of_seed(seed)
-    v1 = normalized_entropy_of_class(ctx, seed, ConeClass(1, 1),
-                                     tol=1e-8, max_iter=2048)
-    v3 = normalized_entropy_of_class(ctx, seed, ConeClass(3, 3),
-                                     tol=1e-8, max_iter=2048)
-    assert abs(v1 - v3) < 1e-12
+    # Ent = ||a|| ent(a) is constant on rays: the entropy function is
+    # homogeneous of degree -1 and the norm of degree 1, which is checked here
+    for x, y in [(1, 0), (1, 1), (5, 14), (14, 5)]:
+        for k in range(1, 5):
+            assert thurston_norm(3, 2, k * x, k * y) == k * thurston_norm(3, 2, x, y)
 
 
 def test_norm_covariance_with_degree():
-    seed = StandardForm(3, ((-1,), (-1,)))
-    ctx = ConeContext.of_seed(seed)
-    # exercised inside normalized_entropy_of_class; a raised AssertionError
-    # would signal a violation
-    normalized_entropy_of_class(ctx, seed, ConeClass(2, 1),
-                                tol=1e-7, max_iter=2048)
-
-
-def test_pushforward_determinants_are_unimodular():
-    for p in range(1, 6):
-        for push in (pushforward_disk_twist, pushforward_full_twist):
-            e1 = push(p, ConeClass(1, 0))
-            e2 = push(p, ConeClass(0, 1))
-            det = e1.x * e2.y - e2.x * e1.y
-            assert det in (1, -1)
+    for seed in (SEED_31, SEED_32, StandardForm(4, ((1,), (-2,), (1, 2)))):
+        for x in range(1, 8):
+            for y in range(0, 8):
+                if gcd(x, y) != 1:
+                    continue
+                word = class_to_braid(seed, x, y).to_braid_word()
+                assert thurston_norm(seed.degree, seed.u, x, y) == word.degree - 1

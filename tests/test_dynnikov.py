@@ -11,8 +11,7 @@ from braidseq import _fan
 from braidseq._kernel_py import PureEngine
 from braidseq.dynnikov import (CurveCoordinates, act, braids_equal,
                                curve_suite, default_seed, entropy_estimate,
-                               nested_seed, round_curve,
-                               EstimatorDiverged)
+                               nested_seed, round_curve)
 from braidseq.families import (FamilySpec, generate, is_palindromic,
                                is_skew_palindromic)
 from braidseq.words import BraidWord, delta, full_twist, half_twist, rho
@@ -160,8 +159,6 @@ def test_reducible_twist_reports_divergence(max_iter):
     est = entropy_estimate(BraidWord(3, (2, 2)), max_iter=max_iter)
     assert not est.converged and est.iterations == max_iter
     assert est.method == "none" and 0 < est.last_delta < math.inf
-    with pytest.raises(EstimatorDiverged):
-        est.require_converged()
 
 
 def test_seed_independence():
@@ -180,7 +177,7 @@ def test_conjugation_invariance():
         letters = tuple(rng.choice([j for j in range(-3, 4) if j])
                         for _ in range(rng.randint(1, 20)))
         g = BraidWord(4, letters)
-        est = entropy_estimate(b.conjugated_by(g), tol=1e-9, max_iter=1024)
+        est = entropy_estimate(g * b * g.inverse(), tol=1e-9, max_iter=1024)
         assert est.converged
         assert abs(est.value - base) < 1e-7
 

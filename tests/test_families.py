@@ -5,8 +5,7 @@ import pytest
 
 from braidseq.dynnikov import braids_equal, entropy_estimate
 from braidseq.families import (DEFAULT_Z_SEED, FamilySpec, generate,
-                               is_palindromic, is_skew_palindromic,
-                               palindromic_bound_check, PALINDROMIC_FLOOR)
+                               is_palindromic, is_skew_palindromic)
 from braidseq.standard import StandardForm, class_to_braid, disk_twist_step
 from braidseq.words import BraidWord
 
@@ -140,15 +139,16 @@ def test_sigma1_sigma2_not_palindromic():
 
 def test_palindromic_bound_check():
     # s1 s2^-2 s1 is palindromic and pseudo-Anosov (conjugate-level square of
-    # a pA word); the dilatation floor sqrt(2 + sqrt(5)) must hold
+    # a pA word); the dilatation floor sqrt(2 + sqrt(5)) must hold, and so
+    # must 2 + sqrt(5) for its square, which is pure
     b = BraidWord(3, (1, -2, -2, 1))
-    assert is_palindromic(b)
-    assert palindromic_bound_check(b)
-
-
-def test_palindromic_bound_rejects_non_palindromic():
-    with pytest.raises(ValueError):
-        palindromic_bound_check(BraidWord(3, (1, 2)))
+    assert is_palindromic(b, braid_level=True)
+    assert (b * b).permutation().is_identity()
+    est = entropy_estimate(b, tol=1e-7, max_iter=2048)
+    est_sq = entropy_estimate(b * b, tol=1e-7, max_iter=2048)
+    assert est.converged and est_sq.converged
+    assert est.value >= math.log(math.sqrt(2 + math.sqrt(5))) - 1e-7
+    assert est_sq.value >= math.log(2 + math.sqrt(5)) - 1e-7
 
 
 def test_xi_pipeline_from_standard_form():
@@ -157,11 +157,11 @@ def test_xi_pipeline_from_standard_form():
     sigma = BraidWord(5, (-4, -3))
     target = sigma * BraidWord(5, (1, 2, 2, 3, 3, 4)) * sigma.inverse()
     assert braids_equal(sf_xi.to_braid_word(), target)
-    # removing the tracked strand from the disk-twisted form agrees with the
-    # closed-form family member at conjugacy-grade detail
+    # removing the tracked strand (the last) from the disk-twisted form agrees
+    # with the closed-form family member at conjugacy-grade detail
     for p in (1, 2):
         twisted = disk_twist_step(sf_xi, p)
-        removed = twisted.to_braid_word().remove_strand(twisted.increasing_strand)
+        removed = twisted.to_braid_word().remove_strand(twisted.degree)
         xi_p = generate(FamilySpec("xi", p)).word
         assert removed.degree == xi_p.degree == 4 + 2 * p
         assert removed.exponent_sum() == xi_p.exponent_sum()
@@ -171,8 +171,3 @@ def test_xi_pipeline_from_standard_form():
         ex = entropy_estimate(xi_p, tol=1e-8, max_iter=2048)
         assert er.converged and ex.converged
         assert abs(er.value - ex.value) < 1e-6
-
-
-def test_floor_constant():
-    assert abs(PALINDROMIC_FLOOR - math.sqrt(2 + math.sqrt(5))) < 1e-15
-    assert abs(PALINDROMIC_FLOOR - 2.0582) < 5e-4

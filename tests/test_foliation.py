@@ -32,13 +32,21 @@ def test_boundary_slopes_need_primitive():
         boundary_slopes(1, 2, 4)
 
 
+def test_boundary_slopes_need_a_class_of_the_cone():
+    # each boundary of a pA foliation has a prong: the disk class (0, 1) and
+    # classes outside the closed cone have no fiber
+    for x, y in [(0, 1), (-1, 1), (1, -3)]:
+        with pytest.raises(ValueError, match="need x >= 1 and y >= 0"):
+            boundary_slopes(1, x, y)
+
+
 def test_slopes_are_primitive():
     for x in range(1, 10):
         for y in range(1, 10):
             if math.gcd(x, y) != 1:
                 continue
             axis, strand = boundary_slopes(1, x, y)
-            assert axis.is_primitive() and strand.is_primitive()
+            assert math.gcd(axis.p, axis.q) == math.gcd(strand.p, strand.q) == 1
 
 
 def test_torus_intersection_examples():

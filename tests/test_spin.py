@@ -3,10 +3,32 @@ import random
 import pytest
 
 from braidseq.families import FamilySpec, generate
-from braidseq.spin import (MappingWord, apply_matrix, chain_classes,
-                           homology_action, is_symplectic, lift_braid,
-                           pairing, preserves_form, q0, q1, transvect)
+from braidseq.spin import (MappingWord, chain_classes, homology_action,
+                           lift_braid, pairing, preserves_form, q0, q1,
+                           transvect)
 from braidseq.words import BraidWord
+
+
+def apply_matrix(matrix: tuple[int, ...], v: int) -> int:
+    """The image of v under the matrix given by its basis images."""
+    out = 0
+    i = 0
+    while v:
+        if v & 1:
+            out ^= matrix[i]
+        v >>= 1
+        i += 1
+    return out
+
+
+def is_symplectic(matrix: tuple[int, ...], g: int) -> bool:
+    """Whether the basis images pair as the basis does."""
+    for i in range(2 * g):
+        for j in range(i + 1, 2 * g):
+            want = pairing(1 << i, 1 << j, g)
+            if pairing(matrix[i], matrix[j], g) != want:
+                return False
+    return True
 
 
 def random_word(rng, g, length):

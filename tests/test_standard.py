@@ -1,5 +1,6 @@
 import math
 import random
+from fractions import Fraction
 
 import pytest
 from hypothesis import given, settings, strategies as st
@@ -195,10 +196,12 @@ def test_cf_rejects_non_coprime():
 def test_cf_odd_length_and_value(x, y):
     g = math.gcd(x, y)
     x, y = x // g, y // g
-    prog = odd_continued_fraction(x, y)
-    assert len(prog) % 2 == 1
-    val = prog.value()
-    assert val.numerator == y and val.denominator == x
+    entries = odd_continued_fraction(x, y).entries
+    assert len(entries) % 2 == 1
+    val = Fraction(entries[-1])     # p_1 + 1/(p_2 + 1/(... + 1/p_j))
+    for p in reversed(entries[:-1]):
+        val = p + 1 / val
+    assert val == Fraction(y, x)
 
 
 # -- class map --------------------------------------------------------------------
