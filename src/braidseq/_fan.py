@@ -105,7 +105,9 @@ def compile_pass(size: int, letters, programs) -> tuple:
     in place.  ``vals[:] = gather(vals)`` then puts every edge back.
     On the 32 degree-16 words of the benchmark's ``word_problem_pairs(1)``,
     a compile costs about 1.3 runs of the pass on the curve suite's small
-    coordinates (medians over the words of the best of 5 x 20 timings).
+    coordinates, and a verdict's two compiles about a third of an
+    equal-pair verdict (medians over the words of the best of 5 x 20
+    timings).
     """
     slot, ops = list(range(size)), []
     for x in reversed(letters):

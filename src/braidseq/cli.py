@@ -285,12 +285,12 @@ def tribraid_cmd(inv, word, as_json, manifest):
     """Exact dilatation of a 3-braid pA word."""
     from .tribraid import exact_dilatation, transition_matrix
     b = BraidWord.from_text(word, degree=3)
-    m = transition_matrix(b)
+    rows = transition_matrix(b)
     lam = exact_dilatation(b)
     info = {
         "word": b.to_text(),
-        "matrix": [list(r) for r in m.rows()],
-        "trace": m.trace,
+        "matrix": [list(r) for r in rows],
+        "trace": lam.trace,
         "dilatation": str(lam),
         "dilatation_decimal": lam.approx(20),
         "log_dilatation": lam.log,
@@ -365,14 +365,13 @@ def _parse_range(text: str) -> list[int]:
                help="parameter or range, e.g. 1..8"),
           _arg("--seed-blocks", help='blocks like "-1 | -1" for seeded families'),
           _arg("--seed-degree", type=int),
-          _arg("--pre-twist", type=int, default=0),
           _arg("--with-entropy", action="store_true"),
           _TOL, _MAX_ITER, _CSV, _MANIFEST)
-def family_cmd(inv, name, p_range, seed_blocks, seed_degree, pre_twist,
-               with_entropy, tol, max_iter, csv_path, manifest):
+def family_cmd(inv, name, p_range, seed_blocks, seed_degree, with_entropy,
+               tol, max_iter, csv_path, manifest):
     """Generate family members; optionally with (ent, Ent) columns.  A
-    seeded member is a cone class over its seed: z is (p + t + 1, 1) for
-    --pre-twist t, beta is (p + 1, p) and b_p is (1, p)."""
+    seeded member is a cone class over its seed: z is (p + 1, 1), beta is
+    (p + 1, p) and b_p is (1, p)."""
     if (seed_blocks is None) != (seed_degree is None):
         raise ValueError("--seed-blocks and --seed-degree go together")
     seed = (StandardForm.from_blocks_text(seed_blocks, seed_degree)
@@ -383,7 +382,7 @@ def family_cmd(inv, name, p_range, seed_blocks, seed_degree, pre_twist,
         header += ["ent", "Ent", "converged"]
     rows = []
     for p in _parse_range(p_range):
-        w = generate(FamilySpec(name, p, seed=seed, pre_twist=pre_twist)).word
+        w = generate(FamilySpec(name, p, seed=seed)).word
         row = [p, w.degree, " ".join(map(str, w.letters))]
         if with_entropy:
             est, ent = _estimate(inv, w, tol, max_iter)

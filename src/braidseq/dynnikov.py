@@ -22,7 +22,7 @@ from functools import lru_cache
 
 from . import _fan
 from ._kernel_py import PureEngine
-from .words import BraidWord, DegreeMismatch, Record
+from .words import BraidWord, Record
 
 _CEngine = None                         # read by perfbench/spans.py
 
@@ -92,7 +92,7 @@ def act(word: BraidWord, coords: CurveCoordinates) -> CurveCoordinates:
     """
     n = word.degree
     if coords.degree != n:
-        raise DegreeMismatch(
+        raise ValueError(
             f"coordinates for degree {coords.degree}, braid degree {n}")
     vec = _fan.decode(n, coords.a, coords.b)
     _fan.apply_word(vec, word.letters, _fan.letter_programs(n))
@@ -110,18 +110,21 @@ class EntropyEstimate(Record):
     run).  ``cycle`` is None unless the method is ``linear_piece``.
     ``last_delta`` is the certificate's relative residual, 0.0 for a
     periodic orbit, and otherwise the change between the last two per-pass
-    growth rates.
+    growth rates.  ``converged`` is ``method != "none"``, and ``kernel``
+    names the one engine, ``PureEngine``.
     """
 
-    _fields = ("value", "iterations", "last_delta", "converged", "method",
-               "cycle", "kernel")
+    _fields = ("value", "iterations", "last_delta", "method", "cycle")
+    kernel = "pure"
 
     def __init__(self, value: float, iterations: int, last_delta: float,
-                 converged: bool, method: str, cycle: int | None = None,
-                 kernel: str = "pure"):
+                 method: str, cycle: int | None = None):
         self.__dict__.update(value=value, iterations=iterations,
-                             last_delta=last_delta, converged=converged,
-                             method=method, cycle=cycle, kernel=kernel)
+                             last_delta=last_delta, method=method, cycle=cycle)
+
+    @property
+    def converged(self) -> bool:
+        return self.method != "none"
 
 
 def check_budget(tol: float, max_iter: int) -> None:
@@ -159,7 +162,7 @@ def entropy_estimate(word: BraidWord, tol: float = DEFAULT_TOL,
         raise ValueError("estimator acts on disk braids; compare via shift")
     n = word.degree
     if n < 3:
-        return EntropyEstimate(0.0, 0, 0.0, True, "periodic")
+        return EntropyEstimate(0.0, 0, 0.0, "periodic")
     if seed is None:
         seed = default_seed(n)
     if seed.is_zero():
@@ -171,7 +174,7 @@ def entropy_estimate(word: BraidWord, tol: float = DEFAULT_TOL,
     while engine.iterations < max_iter:
         lognorms += engine.advance(1)
         if engine.periodic_at is not None:
-            return _estimate(engine, 0.0, 0.0, "periodic")
+            return EntropyEstimate(0.0, engine.iterations, 0.0, "periodic")
         p = engine.cycle() if engine.iterations >= retry_at else None
         if p is not None:
             program = engine.program if p == 1 else _fan.compile_pass(
@@ -182,8 +185,8 @@ def entropy_estimate(word: BraidWord, tol: float = DEFAULT_TOL,
             found = _certify(engine.vals, program, bits, n, growth, tol)
             if found is not None:
                 lam, residual = found
-                return _estimate(engine, math.log(lam) / p, residual,
-                                 "linear_piece", p)
+                return EntropyEstimate(math.log(lam) / p, engine.iterations,
+                                       residual, "linear_piece", p)
             retry_at, wait = engine.iterations + wait, 2 * wait
     # best effort: growth over the later half of the run
     best, last_delta = 0.0, math.inf
@@ -193,13 +196,7 @@ def entropy_estimate(word: BraidWord, tol: float = DEFAULT_TOL,
     if len(lognorms) >= 3:
         a, b, c = lognorms[-3:]
         last_delta = abs((c - b) - (b - a))
-    return _estimate(engine, max(best, 0.0), last_delta, "none")
-
-
-def _estimate(engine: PureEngine, value: float, last_delta: float,
-              method: str, cycle: int | None = None) -> EntropyEstimate:
-    return EntropyEstimate(value, engine.iterations, last_delta,
-                           method != "none", method, cycle)
+    return EntropyEstimate(max(best, 0.0), engine.iterations, last_delta, "none")
 
 
 def _certify(vals: list[int], program, bits: list[bool], n: int,

@@ -2,8 +2,10 @@
 sequences, and the seeded small-normalized-entropy sequences.
 
 A seeded member is the monodromy braid of a cone class over its seed,
-``class_to_braid(seed, x, y)``: z_p is the class (p + t + 1, 1) for a
-pre-twist t (default 0), beta_p is (p + 1, p) and b_p is (1, p).
+``class_to_braid(seed, x, y)``: z_p is the class (p + 1, 1), beta_p is
+(p + 1, p) and b_p is (1, p).  A member is determined by its name,
+parameter and seed alone: twisting the seed first only shifts the class,
+so z_p over ``full_twist_step(seed, t)`` is z_{p+t} over the seed.
 
 Family outputs are literal words (not conjugacy-normalized), matching the
 displayed closed forms; golden tests compare letter-for-letter.
@@ -25,21 +27,16 @@ DEFAULT_Z_SEED = StandardForm(3, ((-1,),))
 class FamilySpec(Record):
     """A family name with its parameter and optional seed data."""
 
-    _fields = ("name", "p", "seed", "pre_twist")
+    _fields = ("name", "p", "seed")
 
-    def __init__(self, name: str, p: int, seed: StandardForm | None = None,
-                 pre_twist: int = 0):
+    def __init__(self, name: str, p: int, seed: StandardForm | None = None):
         if name not in SEEDED + CLOSED_FORM:
             raise ValueError(f"unknown family {name!r}")
         if p < 1:
             raise ValueError("family parameter must be >= 1")
-        if pre_twist < 0:
-            raise ValueError("pre-twist must be >= 0")
-        if pre_twist and name != "z":
-            raise ValueError(f"family {name} takes no pre-twist")
         if seed is not None and name in CLOSED_FORM:
             raise ValueError(f"family {name} takes no seed")
-        self.__dict__.update(name=name, p=p, seed=seed, pre_twist=pre_twist)
+        self.__dict__.update(name=name, p=p, seed=seed)
 
 
 class FamilyMember(Record):
@@ -71,8 +68,7 @@ def generate(spec: FamilySpec) -> FamilyMember:
         word = BraidWord(5 + 2 * p, letters)
         return FamilyMember(word, word.shift().to_spherical())
     seed = spec.seed if spec.seed is not None else DEFAULT_Z_SEED
-    x, y = {"z": (p + spec.pre_twist + 1, 1), "beta": (p + 1, p),
-            "b_p": (1, p)}[spec.name]
+    x, y = {"z": (p + 1, 1), "beta": (p + 1, p), "b_p": (1, p)}[spec.name]
     return FamilyMember(class_to_braid(seed, x, y).to_braid_word())
 
 

@@ -72,11 +72,15 @@ def prong_counts(orbit: OrbitData, epsilon: int, x: int, y: int) -> tuple[int, i
     """Prong counts of the stable foliation at the two boundary tori.
 
     The foliation of the class (x, y) is i([c], [slope])-pronged at each
-    boundary, with the slopes from the orientation convention.
+    boundary, with the slopes from the orientation convention.  A zero
+    count raises: a pseudo-Anosov foliation has a prong at each boundary.
     """
     axis_slope, strand_slope = boundary_slopes(epsilon, x, y)
-    return (torus_intersection(orbit.c_axis, axis_slope),
-            torus_intersection(orbit.c_strand, strand_slope))
+    counts = (torus_intersection(orbit.c_axis, axis_slope),
+              torus_intersection(orbit.c_strand, strand_slope))
+    if 0 in counts:
+        raise ValueError("prong count must be >= 1")
+    return counts
 
 
 def compose_orbit_full_twist(orbit: OrbitData, k: int) -> OrbitData:

@@ -1,13 +1,17 @@
 """Standard forms of d-increasing braids and the twist-step apparatus:
-full-twist steps, disk-twist steps, twist programs, the odd continued
-fraction map from cone classes to monodromy braids, the Thurston norm on
-the cone, and the gamma word construction.
+full-twist steps, disk-twist steps, the odd continued fraction map from
+cone classes to monodromy braids, the Thurston norm on the cone, and the
+gamma word construction.
 
 A standard form with blocks w_1..w_u at degree d represents the braid
 (w_1 s_{d-1}^2) ... (w_u s_{d-1}^2), which is d-increasing with
-intersection number u.  Both twist steps keep this shape closed: a
-full-twist step multiplies by the full twist (appending d-1 blocks per
-power), a disk-twist step re-embeds the braid at degree d + p*u.
+intersection number u.  A form is its degree and blocks, nothing else:
+two forms of the same blocks are equal however they were made.  Both
+twist steps keep this shape closed: a full-twist step multiplies by the
+full twist (appending d-1 blocks per power), a disk-twist step re-embeds
+the braid at degree d + p*u.  A twist program is the tuple of the odd
+continued fraction of y/x, its entries alternating disk-twist and
+full-twist powers.
 """
 
 from __future__ import annotations
@@ -17,35 +21,12 @@ from math import gcd
 from .words import BraidWord, Record, full_twist, rho
 
 
-class BlockIndexError(ValueError):
-    """A block word uses the reserved index d-1 or worse."""
-
-
-class TwistProgram(Record):
-    """Alternating twist instructions p_1, ..., p_j.
-
-    Odd positions are disk-twist steps (p_1 may be 0, meaning none), even
-    positions are full-twist powers; entries after the first must be >= 1.
-    """
-
-    _fields = ("entries",)
-
-    def __init__(self, entries: tuple[int, ...]):
-        e = tuple(int(x) for x in entries)
-        if not e:
-            raise ValueError("empty twist program")
-        if e[0] < 0 or any(x < 1 for x in e[1:]):
-            raise ValueError(f"malformed twist program {e}")
-        self.__dict__.update(entries=e)
-
-
 class StandardForm(Record):
     """Block decomposition (w_1 s_{d-1}^2) ... (w_u s_{d-1}^2)."""
 
-    _fields = ("degree", "blocks", "seed_blocks")
+    _fields = ("degree", "blocks")
 
-    def __init__(self, degree: int, blocks: tuple[tuple[int, ...], ...],
-                 seed_blocks: int | None = None):
+    def __init__(self, degree: int, blocks: tuple[tuple[int, ...], ...]):
         if degree < 3:
             raise ValueError("standard forms need degree >= 3")
         blocks = tuple(tuple(b) for b in blocks)
@@ -54,11 +35,9 @@ class StandardForm(Record):
         for b in blocks:
             for x in b:
                 if x == 0 or abs(x) > degree - 2:
-                    raise BlockIndexError(
+                    raise ValueError(
                         f"block letter {x} out of range 1..{degree - 2}")
-        if seed_blocks is None:
-            seed_blocks = len(blocks)
-        self.__dict__.update(degree=degree, blocks=blocks, seed_blocks=seed_blocks)
+        self.__dict__.update(degree=degree, blocks=blocks)
 
     @property
     def u(self) -> int:
@@ -94,7 +73,7 @@ def full_twist_step(sf: StandardForm, p: int) -> StandardForm:
     d = sf.degree
     delta_word = tuple(range(1, d - 1))
     blocks = sf.blocks + (delta_word,) * (p * (d - 1))
-    return StandardForm(d, blocks, sf.seed_blocks)
+    return StandardForm(d, blocks)
 
 
 def disk_twist_step(sf: StandardForm, p: int) -> StandardForm:
@@ -109,23 +88,19 @@ def disk_twist_step(sf: StandardForm, p: int) -> StandardForm:
     d_new = d + p * sf.u
     suffix = tuple(range(d - 1, d_new - 1))
     blocks = tuple(b + suffix for b in sf.blocks)
-    return StandardForm(d_new, blocks, sf.seed_blocks)
+    return StandardForm(d_new, blocks)
 
 
-def apply_program(sf: StandardForm, prog: TwistProgram) -> StandardForm:
-    """Alternate disk twists (odd positions) and full twists (even)."""
-    out = sf
-    for pos, p in enumerate(prog.entries):
-        if pos % 2 == 0:
-            if pos == 0 and p == 0:
-                continue                # b[0] = b
-            out = disk_twist_step(out, p)
-        else:
-            out = full_twist_step(out, p)
-    return out
+def apply_program(sf: StandardForm, entries: tuple[int, ...]) -> StandardForm:
+    """Alternate disk twists (odd positions) and full twists (even); a first
+    entry 0 means no disk twist."""
+    for pos, p in enumerate(entries):
+        if pos or p:
+            sf = (full_twist_step if pos % 2 else disk_twist_step)(sf, p)
+    return sf
 
 
-def odd_continued_fraction(x: int, y: int) -> TwistProgram:
+def odd_continued_fraction(x: int, y: int) -> tuple[int, ...]:
     """Odd-length continued fraction expansion of y/x (Euclidean algorithm).
 
     When the plain expansion has even length, the last entry p is replaced
@@ -144,7 +119,7 @@ def odd_continued_fraction(x: int, y: int) -> TwistProgram:
     if len(entries) % 2 == 0:
         entries[-1] -= 1
         entries.append(1)
-    return TwistProgram(tuple(entries))
+    return tuple(entries)
 
 
 def thurston_norm(n: int, u: int, x: int, y: int) -> int:
@@ -164,8 +139,7 @@ def class_to_braid(sf: StandardForm, x: int, y: int) -> StandardForm:
     The resulting degree obeys d - 1 = ||(x, y)||, the Thurston norm for the
     seed's (n, u).
     """
-    prog = odd_continued_fraction(x, y)
-    out = apply_program(sf, prog)
+    out = apply_program(sf, odd_continued_fraction(x, y))
     expect = thurston_norm(sf.degree, sf.u, x, y)
     if out.degree - 1 != expect:
         raise AssertionError(
@@ -173,15 +147,16 @@ def class_to_braid(sf: StandardForm, x: int, y: int) -> StandardForm:
     return out
 
 
-def decompose_factors(sf: StandardForm) -> tuple[tuple[BraidWord, ...], int]:
-    """Reducible/periodic factorization (nu_1 rho)...(nu_{u0} rho^m).
+def decompose_factors(sf: StandardForm,
+                      u0: int) -> tuple[tuple[BraidWord, ...], int]:
+    """Reducible/periodic factorization (nu_1 rho)...(nu_{u0} rho^m) of a
+    form made from a seed of u0 blocks.
 
-    nu_j = w_j (s_1...s_{d-2})^-1 for the first u0 blocks (the seed's block
-    count); every later block must literally be the word s_1...s_{d-2} and
-    their number determines m = blocks - u0 + 1.
+    nu_j = w_j (s_1...s_{d-2})^-1 for the first u0 blocks; every later
+    block must literally be the word s_1...s_{d-2} and their number
+    determines m = blocks - u0 + 1.
     """
     d = sf.degree
-    u0 = sf.seed_blocks
     delta_word = tuple(range(1, d - 1))
     for extra in sf.blocks[u0:]:
         if extra != delta_word:
@@ -192,10 +167,11 @@ def decompose_factors(sf: StandardForm) -> tuple[tuple[BraidWord, ...], int]:
     return nus, m
 
 
-def factors_to_braid_word(sf: StandardForm) -> BraidWord:
-    """Rebuild the braid from its (nu_j, rho, m) factorization."""
+def factors_to_braid_word(sf: StandardForm, u0: int) -> BraidWord:
+    """Rebuild the braid from its (nu_j, rho, m) factorization over a seed
+    of u0 blocks."""
     d = sf.degree
-    nus, m = decompose_factors(sf)
+    nus, m = decompose_factors(sf, u0)
     out = BraidWord(d, ())
     rho_d = rho(d)
     for nu in nus[:-1]:

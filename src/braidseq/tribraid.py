@@ -2,8 +2,11 @@
 
 A pA word is a word in sigma_1^-1 and sigma_2 using both letters.  Its train
 track transition matrix is the ordered product of two unimodular 2x2 integer
-matrices, one per letter; the dilatation is the spectral radius, an exact
-quadratic algebraic number determined by the trace.
+matrices, one per letter: sigma_1^-1 acts by ((1, 1), (0, 1)) and sigma_2 by
+((1, 0), (1, 1)).  The assignment is fixed canonically; both choices give
+equal traces on every pA word (they are transposes of each other).  The
+dilatation is the spectral radius, an exact quadratic algebraic number
+determined by the trace.
 """
 
 from __future__ import annotations
@@ -11,67 +14,34 @@ from __future__ import annotations
 import math
 from .words import BraidWord, Record
 
-# Letter matrices: sigma_1^-1 and sigma_2 act by the two elementary
-# transvections.  The assignment is fixed canonically; both choices give
-# equal traces on every pA word (they are transposes of each other).
-_M_INV1 = ((1, 1), (0, 1))   # sigma_1^-1
-_M_2 = ((1, 0), (1, 1))      # sigma_2
-
-
-class NotPAWord(ValueError):
-    """Input is not a word in {sigma_1^-1, sigma_2} using both letters."""
-
-
-class Matrix2(Record):
-    """2x2 integer matrix with exact (arbitrary-precision) entries."""
-
-    _fields = ("a", "b", "c", "d")
-
-    def __init__(self, a: int, b: int, c: int, d: int):
-        self.__dict__.update(a=a, b=b, c=c, d=d)
-
-    def __mul__(self, other: "Matrix2") -> "Matrix2":
-        return Matrix2(self.a * other.a + self.b * other.c,
-                       self.a * other.b + self.b * other.d,
-                       self.c * other.a + self.d * other.c,
-                       self.c * other.b + self.d * other.d)
-
-    @property
-    def trace(self) -> int:
-        return self.a + self.d
-
-    @property
-    def det(self) -> int:
-        return self.a * self.d - self.b * self.c
-
-    def rows(self) -> tuple[tuple[int, int], tuple[int, int]]:
-        return ((self.a, self.b), (self.c, self.d))
-
 
 def check_pa_word(word: BraidWord) -> None:
     if word.degree != 3:
-        raise NotPAWord(f"degree {word.degree} != 3")
+        raise ValueError(f"degree {word.degree} != 3")
     if not word.letters:
-        raise NotPAWord("empty word")
+        raise ValueError("empty word")
     for x in word.letters:
         if x not in (-1, 2):
-            raise NotPAWord(f"letter {x} not in {{-1, 2}}")
+            raise ValueError(f"letter {x} not in {{-1, 2}}")
     if -1 not in word.letters or 2 not in word.letters:
-        raise NotPAWord("both sigma_1^-1 and sigma_2 must occur")
+        raise ValueError("both sigma_1^-1 and sigma_2 must occur")
 
 
-def transition_matrix(word: BraidWord) -> Matrix2:
-    """Ordered product of the letter matrices over a pA word.
+def transition_matrix(word: BraidWord) -> tuple[tuple[int, int], tuple[int, int]]:
+    """Ordered product of the letter matrices over a pA word, as its rows
+    ((a, b), (c, d)).
 
     The product has determinant 1, nonnegative entries and trace >= 3.
     """
     check_pa_word(word)
-    m = Matrix2(1, 0, 0, 1)
+    a, b, c, d = 1, 0, 0, 1
     for x in word.letters:
-        m = m * (Matrix2(*_M_INV1[0], *_M_INV1[1]) if x == -1
-                 else Matrix2(*_M_2[0], *_M_2[1]))
-    assert m.det == 1 and m.trace >= 3
-    return m
+        if x == -1:                     # right factor ((1, 1), (0, 1))
+            b, d = a + b, c + d
+        else:                           # right factor ((1, 0), (1, 1))
+            a, c = a + b, c + d
+    assert a * d - b * c == 1 and a + d >= 3
+    return (a, b), (c, d)
 
 
 class ExactDilatation(Record):
@@ -113,7 +83,8 @@ def exact_dilatation(word: BraidWord) -> ExactDilatation:
     twist is central and does not change the dilatation, so pass the pA
     word alone.
     """
-    return ExactDilatation(transition_matrix(word).trace)
+    (a, _), (_, d) = transition_matrix(word)
+    return ExactDilatation(a + d)
 
 
 def _log_quadratic(trace: int) -> float:

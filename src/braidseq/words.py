@@ -47,14 +47,6 @@ class Record:
         raise AttributeError(f"cannot delete field {name!r}")
 
 
-class DegreeMismatch(ValueError):
-    """Raised when combining braids of different degree or sphericity."""
-
-
-class StrandNotFixed(ValueError):
-    """Raised when a strand operation needs pi_b(i) = i and it fails."""
-
-
 class Permutation(Record):
     """A permutation of {1..n}, stored as the tuple of images."""
 
@@ -76,7 +68,7 @@ class Permutation(Record):
     def __mul__(self, other: "Permutation") -> "Permutation":
         """Function composition: (self * other)(i) = self(other(i))."""
         if self.degree != other.degree:
-            raise DegreeMismatch("permutation degree mismatch")
+            raise ValueError("permutation degree mismatch")
         return Permutation(tuple(self.images[other.images[i - 1] - 1]
                                  for i in range(1, self.degree + 1)))
 
@@ -132,7 +124,7 @@ class BraidWord(Record):
 
     def _check_compatible(self, other: "BraidWord"):
         if self.degree != other.degree or self.spherical != other.spherical:
-            raise DegreeMismatch(
+            raise ValueError(
                 f"cannot combine B{self.degree}{'s' if self.spherical else ''} "
                 f"with B{other.degree}{'s' if other.spherical else ''}")
 
@@ -218,7 +210,7 @@ class BraidWord(Record):
         if not 1 <= i <= self.degree:
             raise ValueError(f"strand index {i} out of range")
         if self.permutation()(i) != i:
-            raise StrandNotFixed(f"strand {i} is not fixed by the permutation")
+            raise ValueError(f"strand {i} is not fixed by the permutation")
         pos = i
         kept_reversed: list[int] = []
         for x in reversed(self.letters):
@@ -351,7 +343,7 @@ def linking_profile(b: BraidWord, i: int) -> LinkingProfile:
         raise ValueError(f"strand index {i} out of range")
     perm = b.permutation()
     if perm(i) != i:
-        raise StrandNotFixed(f"strand {i} is not fixed by the permutation")
+        raise ValueError(f"strand {i} is not fixed by the permutation")
     # Walk bottom-up: positions hold strand ids, the last letter acts first.
     at = list(range(1, b.degree + 1))       # at[pos-1] = strand id
     crossing_sum = {s: 0 for s in range(1, b.degree + 1)}

@@ -18,9 +18,9 @@ from braidseq.foliation import (PRESET_SIGMA1I_SQ, braid_penner_floor,
                                 compose_orbit_full_twist, prong_counts,
                                 puncture_fill_validity)
 from braidseq.spin import MappingWord, lift_braid, preserves_form, q0, q1
-from braidseq.standard import (StandardForm, TwistProgram, apply_program,
-                               class_to_braid, ef_gamma,
-                               odd_continued_fraction, thurston_norm)
+from braidseq.standard import (StandardForm, apply_program, class_to_braid,
+                               ef_gamma, odd_continued_fraction,
+                               thurston_norm)
 from braidseq.tribraid import exact_dilatation, transition_matrix
 from braidseq.words import BraidWord, full_twist
 
@@ -63,12 +63,13 @@ def criterion(num):
 @criterion(1)
 def test_criterion_01_exact_oracle_commissioning():
     w = BraidWord(3, (-1, 2, 2))
-    m = transition_matrix(w)
-    assert m.trace == 4
+    (a, _), (_, d) = transition_matrix(w)
+    assert a + d == 4
     lam = exact_dilatation(w)
     assert abs(lam.value - (2 + math.sqrt(3))) < 1e-14
     w2 = w * w
-    assert transition_matrix(w2).trace == 14
+    (a, _), (_, d) = transition_matrix(w2)
+    assert a + d == 14
     lam2 = exact_dilatation(w2)
     assert abs(lam2.value - (2 + math.sqrt(3)) ** 2) < 1e-12
 
@@ -115,7 +116,7 @@ def test_criterion_03_z_family_convergence():
     t0 = time.time()
     errors = {}
     for p in range(1, 9):
-        zp = apply_program(SEED_31, TwistProgram((0, p, 1))).to_braid_word()
+        zp = apply_program(SEED_31, (0, p, 1)).to_braid_word()
         assert zp.degree == 4 + 2 * p
         ent_n = (zp.degree - 1) * estimate(zp, tol=1e-8, max_iter=3000)
         assert math.isfinite(ent_n)
@@ -132,7 +133,7 @@ def test_criterion_03_z_family_convergence():
 
 @criterion(4)
 def test_criterion_04_beta_family_convergence():
-    b1 = apply_program(SEED_32, TwistProgram((1,))).to_braid_word()
+    b1 = apply_program(SEED_32, (1,)).to_braid_word()
     limit = (b1.degree - 1) * estimate(b1, tol=1e-8, max_iter=4096)
     ents = {}
     for p in range(1, 9):
@@ -150,8 +151,8 @@ def test_criterion_04_beta_family_convergence():
 
 @criterion(5)
 def test_criterion_05_continued_fraction_goldens():
-    assert odd_continued_fraction(5, 14).entries == (2, 1, 4)
-    assert odd_continued_fraction(14, 5).entries == (0, 2, 1, 3, 1)
+    assert odd_continued_fraction(5, 14) == (2, 1, 4)
+    assert odd_continued_fraction(14, 5) == (0, 2, 1, 3, 1)
     report(5, "(5,14) -> [2,1,4]; (14,5) -> [0,2,1,3,1]")
 
 

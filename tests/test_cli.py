@@ -405,6 +405,8 @@ def test_cone_braid_word():
     ("prongs", "--class", "0,1"),
     ("prongs", "--class", "-1,1"),
     ("prongs", "--class", "1,-3"),
+    # orbit data whose axis class meets the axis slope not at all
+    ("prongs", "--orbit", "1,1:2,1", "--epsilon", "-1", "--class", "1,1"),
 ])
 def test_rejected_input_is_a_usage_error(args):
     res = run(*args)
@@ -441,7 +443,9 @@ USAGE_MESSAGES = {
     ("family", "xi", "--p", "1", "--tol", "-1"): "need a finite tol > 0",
     ("family", "xi", "--p", "1", "--tol", "inf", "--manifest", "/nonexistent/m.json"):
         "need a finite tol",
-    ("family", "beta", "--p", "1", "--pre-twist", "2"): "family beta takes no pre-twist",
+    # z at --pre-twist t was z at p + t; the option is gone
+    ("family", "beta", "--p", "1", "--pre-twist", "2"):
+        "unrecognized arguments: --pre-twist 2",
     ("family", "xi", "--p", "1", "--seed-blocks", "-1", "--seed-degree", "3"):
         "family xi takes no seed",
     ("family", "z", "--p", "1", "--seed-degree", "3"):
@@ -463,6 +467,8 @@ USAGE_MESSAGES = {
     ("prongs", "--class", "0,1"): "need x >= 1 and y >= 0",
     ("prongs", "--class", "-1,1"): "need x >= 1 and y >= 0",
     ("prongs", "--class", "1,-3"): "need x >= 1 and y >= 0",
+    ("prongs", "--orbit", "1,1:2,1", "--epsilon", "-1", "--class", "1,1"):
+        "prong count must be >= 1",
 }
 
 
@@ -504,7 +510,7 @@ def test_csv_file_and_manifest_match_stdout(tmp_path):
     assert doc["outputs_digest"] == hashlib.sha256(stdout.encode()).hexdigest()
     assert doc["arguments"] == {
         "name": "xi", "p_range": "1..2", "seed_blocks": None,
-        "seed_degree": None, "pre_twist": 0, "with_entropy": False,
+        "seed_degree": None, "with_entropy": False,
         "tol": 1e-9, "max_iter": 4096, "csv_path": str(csv_path),
         "manifest": str(manifest)}
 

@@ -6,7 +6,8 @@ import pytest
 from braidseq.dynnikov import braids_equal, entropy_estimate
 from braidseq.families import (DEFAULT_Z_SEED, FamilySpec, generate,
                                is_palindromic, is_skew_palindromic)
-from braidseq.standard import StandardForm, class_to_braid, disk_twist_step
+from braidseq.standard import (StandardForm, class_to_braid, disk_twist_step,
+                               full_twist_step)
 from braidseq.words import BraidWord
 
 
@@ -57,11 +58,13 @@ def test_beta_family_class_degrees():
     for p in range(1, 6):
         w = generate(FamilySpec("beta", p, seed=seed)).word
         assert w.degree == 2 * (p + 1) + 2 * p + 1
-    # every seeded member is the monodromy of its class: z_p with pre-twist
-    # t is (p + t + 1, 1), beta_p is (p + 1, p), b_p is (1, p)
+    # every seeded member is the monodromy of its class: z_p is (p + 1, 1),
+    # beta_p is (p + 1, p), b_p is (1, p); z_p over the seed twisted t times
+    # is (p + t + 1, 1) over the seed
     for seed in (DEFAULT_Z_SEED, seed, StandardForm(4, ((-1, 2), (1,)))):
         for p in range(1, 7):
-            cases = [(FamilySpec("z", p, seed, t), (p + t + 1, 1)) for t in range(3)]
+            cases = [(FamilySpec("z", p, full_twist_step(seed, t) if t else seed),
+                      (p + t + 1, 1)) for t in range(3)]
             cases += [(FamilySpec("beta", p, seed), (p + 1, p)),
                       (FamilySpec("b_p", p, seed), (1, p))]
             for spec, (x, y) in cases:
@@ -81,24 +84,12 @@ def test_seeded_defaults():
     assert w == w2
 
 
-def test_pre_twist_shifts_parameter():
-    # z with pre-twist k equals z at parameter p + k
-    w = generate(FamilySpec("z", 1, pre_twist=2)).word
-    w2 = generate(FamilySpec("z", 3)).word
-    assert w == w2
-
-
 def test_spec_validation():
     with pytest.raises(ValueError):
         FamilySpec("xi", 0)
     with pytest.raises(ValueError):
         FamilySpec("nope", 1)
-    with pytest.raises(ValueError):
-        FamilySpec("z", 1, pre_twist=-1)
-    # only z takes a pre-twist; the closed-form families take no seed
-    for name in ("beta", "b_p", "xi", "eta", "o", "v"):
-        with pytest.raises(ValueError, match="takes no pre-twist"):
-            FamilySpec(name, 1, pre_twist=2)
+    # the closed-form families take no seed
     for name in ("xi", "eta", "o", "v"):
         with pytest.raises(ValueError, match="takes no seed"):
             FamilySpec(name, 1, seed=DEFAULT_Z_SEED)

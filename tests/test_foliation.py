@@ -114,6 +114,16 @@ def test_prongs_trivial_orbit():
     assert prong_counts(orbit, 1, 1, 0) == (1, 1)
 
 
+def test_prong_counts_reject_a_zero_count():
+    # each boundary of a pA foliation has a prong: at epsilon -1 the class
+    # (1, 1) has both slopes (1, 1), which the orbit class (1, 1) misses
+    with pytest.raises(ValueError, match="prong count must be >= 1"):
+        prong_counts(OrbitData(TorusClass(1, 1), TorusClass(2, 1)), -1, 1, 1)
+    with pytest.raises(ValueError, match="prong count must be >= 1"):
+        prong_counts(OrbitData(TorusClass(1, 0), TorusClass(1, 1)), -1, 1, 1)
+    assert prong_counts(OrbitData(TorusClass(1, 0), TorusClass(2, 1)), -1, 1, 1) == (1, 1)
+
+
 def test_puncture_fill_validity():
     assert puncture_fill_validity(2) == "safe"
     assert puncture_fill_validity(1) == "unsafe"

@@ -6,8 +6,7 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from braidseq.dynnikov import braids_equal, entropy_estimate
-from braidseq.standard import (BlockIndexError, StandardForm, TwistProgram,
-                               apply_program, class_to_braid,
+from braidseq.standard import (StandardForm, apply_program, class_to_braid,
                                decompose_factors, disk_twist_step, ef_gamma,
                                factors_to_braid_word, full_twist_step,
                                odd_continued_fraction)
@@ -38,7 +37,7 @@ def test_to_braid_word_empty_block():
 
 
 def test_blocks_reject_reserved_index():
-    with pytest.raises(BlockIndexError):
+    with pytest.raises(ValueError, match="block letter 2 out of range 1..1"):
         StandardForm(3, ((2,),))
 
 
@@ -124,7 +123,7 @@ def test_disk_twist_preserves_u_and_increasing_strand():
 
 def test_disk_twist_factorization_oracle():
     out = disk_twist_step(SEED_32, 1)
-    assert braids_equal(out.to_braid_word(), factors_to_braid_word(out))
+    assert braids_equal(out.to_braid_word(), factors_to_braid_word(out, 2))
 
 
 def test_steps_stay_standard():
@@ -141,49 +140,50 @@ def test_steps_stay_standard():
 # -- programs --------------------------------------------------------------------
 
 def test_program_invariants():
-    with pytest.raises(ValueError):
-        TwistProgram((1, 0))
-    with pytest.raises(ValueError):
-        TwistProgram((-1,))
-    with pytest.raises(ValueError):
-        TwistProgram(())
-    assert TwistProgram((0,)).entries == (0,)
+    # entries after the first are powers >= 1, the first may be 0 (no step)
+    with pytest.raises(ValueError, match="full twist power must be >= 1"):
+        apply_program(SEED_32, (1, 0))
+    with pytest.raises(ValueError, match="disk twist power must be >= 1"):
+        apply_program(SEED_32, (-1,))
+    with pytest.raises(ValueError, match="disk twist power must be >= 1"):
+        apply_program(SEED_32, (0, 1, 0))
+    assert apply_program(SEED_32, (0,)) == SEED_32
 
 
 def test_program_0_1_is_full_twist():
-    out = apply_program(SEED_32, TwistProgram((0, 1)))
+    out = apply_program(SEED_32, (0, 1))
     rhs = SEED_32.to_braid_word() * full_twist(3)
     assert braids_equal(out.to_braid_word(), rhs)
 
 
 def test_program_p_is_disk_twist():
-    out = apply_program(SEED_32, TwistProgram((2,)))
+    out = apply_program(SEED_32, (2,))
     assert out.blocks == disk_twist_step(SEED_32, 2).blocks
 
 
 def test_program_0_p_1():
-    out = apply_program(SEED_31, TwistProgram((0, 2, 1)))
+    out = apply_program(SEED_31, (0, 2, 1))
     manual = disk_twist_step(full_twist_step(SEED_31, 2), 1)
     assert out.blocks == manual.blocks
 
 
 def test_program_zero_is_identity_step():
-    out = apply_program(SEED_32, TwistProgram((0,)))
+    out = apply_program(SEED_32, (0,))
     assert out.blocks == SEED_32.blocks and out.degree == SEED_32.degree
 
 
 # -- continued fractions ----------------------------------------------------------
 
 def test_cf_golden_5_14():
-    assert odd_continued_fraction(5, 14).entries == (2, 1, 4)
+    assert odd_continued_fraction(5, 14) == (2, 1, 4)
 
 
 def test_cf_golden_14_5():
-    assert odd_continued_fraction(14, 5).entries == (0, 2, 1, 3, 1)
+    assert odd_continued_fraction(14, 5) == (0, 2, 1, 3, 1)
 
 
 def test_cf_golden_1_1():
-    assert odd_continued_fraction(1, 1).entries == (1,)
+    assert odd_continued_fraction(1, 1) == (1,)
 
 
 def test_cf_rejects_non_coprime():
@@ -196,7 +196,7 @@ def test_cf_rejects_non_coprime():
 def test_cf_odd_length_and_value(x, y):
     g = math.gcd(x, y)
     x, y = x // g, y // g
-    entries = odd_continued_fraction(x, y).entries
+    entries = odd_continued_fraction(x, y)
     assert len(entries) % 2 == 1
     val = Fraction(entries[-1])     # p_1 + 1/(p_2 + 1/(... + 1/p_j))
     for p in reversed(entries[:-1]):
@@ -226,18 +226,18 @@ def test_block_count_law():
         prog_entries = [rng.randint(0, 2)]
         for k in range(rng.randint(0, 3)):
             prog_entries.append(rng.randint(1, 3))
-        out = apply_program(sf, TwistProgram(tuple(prog_entries)))
-        nus, m = decompose_factors(out)
+        out = apply_program(sf, tuple(prog_entries))
+        nus, m = decompose_factors(out, sf.u)
         assert len(out.blocks) == (sf.u - 1) + m
         assert len(nus) == sf.u
 
 
 def test_decompose_m_growth():
-    fresh = decompose_factors(SEED_32)
+    fresh = decompose_factors(SEED_32, 2)
     assert fresh[1] == 1
-    after_ft = decompose_factors(full_twist_step(SEED_32, 2))
+    after_ft = decompose_factors(full_twist_step(SEED_32, 2), 2)
     assert after_ft[1] == 1 + 2 * (3 - 1)
-    after_dt = decompose_factors(disk_twist_step(full_twist_step(SEED_32, 2), 1))
+    after_dt = decompose_factors(disk_twist_step(full_twist_step(SEED_32, 2), 1), 2)
     assert after_dt[1] == after_ft[1]
 
 
@@ -245,8 +245,8 @@ def test_factorization_reproduces_braid():
     rng = random.Random(17)
     for _ in range(6):
         sf = random_form(rng, max_degree=4, max_blocks=2)
-        out = apply_program(sf, TwistProgram((0, rng.randint(1, 2), 1)))
-        assert braids_equal(out.to_braid_word(), factors_to_braid_word(out))
+        out = apply_program(sf, (0, rng.randint(1, 2), 1))
+        assert braids_equal(out.to_braid_word(), factors_to_braid_word(out, sf.u))
 
 
 # -- gamma ------------------------------------------------------------------------

@@ -1,9 +1,10 @@
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from braidseq.words import (BraidWord, DegreeMismatch, StrandNotFixed,
-                            full_twist, half_twist, linking_profile,
-                            make_generator)
+from braidseq.dynnikov import entropy_estimate
+from braidseq.standard import StandardForm, full_twist_step
+from braidseq.words import (BraidWord, Record, full_twist, half_twist,
+                            linking_profile, make_generator)
 
 
 def letters_strategy(n, max_len=12):
@@ -50,12 +51,12 @@ def test_compose_with_inverse_reduces_to_empty():
 
 
 def test_degree_mismatch_raises():
-    with pytest.raises(DegreeMismatch):
+    with pytest.raises(ValueError, match="cannot combine B3 with B4"):
         BraidWord(3, (1,)) * BraidWord(4, (1,))
 
 
 def test_spherical_flag_blocks_mixed_products():
-    with pytest.raises(DegreeMismatch):
+    with pytest.raises(ValueError, match="cannot combine B3 with B3s"):
         BraidWord(3, (1,)) * BraidWord(3, (1,), spherical=True)
 
 
@@ -133,7 +134,7 @@ def test_remove_strand_identity():
 
 
 def test_remove_strand_requires_fixed_point():
-    with pytest.raises(StrandNotFixed):
+    with pytest.raises(ValueError, match="strand 1 is not fixed"):
         BraidWord(3, (1,)).remove_strand(1)
 
 
@@ -244,3 +245,35 @@ def test_free_reduction_idempotent():
 def test_power_negative():
     b = BraidWord(3, (1, 2))
     assert (b ** -2) == (b.inverse() * b.inverse())
+
+
+# -- the value contract -------------------------------------------------------
+
+def test_record_contract():
+    # one class with equal fields: equal values with equal hashes
+    a, b = BraidWord(3, (1, -2)), BraidWord(3, [1, -2])
+    assert a == b and hash(a) == hash(b) and {a: 1}[b] == 1
+    assert a != BraidWord(3, (1, 2))
+
+    class Twin(Record):
+        _fields = BraidWord._fields
+
+        def __init__(self, w):
+            self.__dict__.update(degree=w.degree, letters=w.letters,
+                                 spherical=w.spherical)
+
+    # another class with the same fields is another value
+    assert Twin(a) == Twin(b) and a != Twin(a) and Twin(a) != a
+    assert repr(a) == "BraidWord(degree=3, letters=(1, -2), spherical=False)"
+    with pytest.raises(AttributeError, match="cannot assign to field 'letters'"):
+        a.letters = ()
+    with pytest.raises(AttributeError, match="cannot delete field 'degree'"):
+        del a.degree
+    est = entropy_estimate(BraidWord(3, (-1, 2)))
+    with pytest.raises(AttributeError, match="cannot assign to field 'converged'"):
+        est.converged = False
+    assert est.converged and est.kernel == "pure"
+    # a standard form is its degree and blocks, however it was made
+    stepped = full_twist_step(StandardForm(3, ((-1,),)), 1)
+    assert stepped == StandardForm(3, ((-1,), (1,), (1,)))
+    assert hash(stepped) == hash(StandardForm(3, ((-1,), (1,), (1,))))
