@@ -144,18 +144,20 @@ def run_steps(vals: list, program) -> list[bool]:
     return bits
 
 
-def pass_matrix(size: int, program, bits) -> list[list[int]]:
-    """Integer matrix of one compiled pass on the cell of ``bits``: the
-    linear map the pass applies to every vector whose flips take the
-    branches that ``run_steps`` returned as ``bits``."""
+def pass_matrix(size: int, program, cells) -> list[list[int]]:
+    """Integer matrix of one run of a compiled pass (flips, then gather) per
+    entry of ``cells``: the runs' linear map on every vector whose i-th run
+    takes the branches that ``run_steps`` returned as ``cells[i]``."""
     ops, gather = program
     rows = [[0] * size for _ in range(size)]
     for i, row in enumerate(rows):
         row[i] = 1
-    for (e, a, b, c, d), bit in zip(ops, bits):
-        p, q = (b, d) if bit else (a, c)
-        rows[e] = list(map(sub, map(add, rows[p], rows[q]), rows[e]))
-    return list(gather(rows))
+    for bits in cells:
+        for (e, a, b, c, d), bit in zip(ops, bits):
+            p, q = (b, d) if bit else (a, c)
+            rows[e] = list(map(sub, map(add, rows[p], rows[q]), rows[e]))
+        rows = list(gather(rows))
+    return rows
 
 
 def apply_word(vals: list, letters, programs) -> None:

@@ -2,11 +2,11 @@
 
 The word is compiled once (``_fan.compile_pass``) into a flat run of
 flips; each iteration is one ``_fan.run_steps`` over it, which also
-returns the branch every flip took.  The branches of the last
-``MAX_CYCLE + 1`` passes are kept.  Once a pass takes the same branches as
-the pass p <= ``MAX_CYCLE`` passes before it (``cycle``), the next p passes
-are predicted to act on the iterate as one integer matrix, the pass of
-w^p on the cell of those p branch lists, which the estimator certifies.
+returns the pass's branch list: the branch every flip took.  Only this
+module reads the lists of the last ``MAX_CYCLE + 1`` passes.  Once a pass
+takes the branches of the pass p <= ``MAX_CYCLE`` passes before it,
+``cycle`` returns the last p lists: the next p passes are predicted to run
+the one compiled pass on their cells in turn, one matrix to certify.
 
 Exact arbitrary-precision integers throughout, never rounded: the integers
 grow like lambda^k, so the cost of a pass grows with k.  A return of the
@@ -60,11 +60,11 @@ class PureEngine:
                 self._start = None
         return out
 
-    def cycle(self) -> int | None:
-        """The smallest p <= ``MAX_CYCLE`` such that the last pass took the
-        branches of the pass p passes before it, or None."""
+    def cycle(self) -> list[list[bool]] | None:
+        """The last p branch lists, oldest first, for the smallest p <=
+        ``MAX_CYCLE`` with the last pass equal to the p-th before; or None."""
         history = self.history
         for p in range(1, len(history)):
             if history[-1 - p] == history[-1]:
-                return p
+                return list(history)[-p:]
         return None

@@ -5,9 +5,10 @@ and the reproduction runs.
 Output is deterministic: JSON for single objects, CSV for sweeps.  Exit
 codes: 0 success, 1 when an estimate behind the output did not converge
 (the output is still written; ``entropy`` switches to JSON diagnostics),
-2 usage errors: every input the library rejects with a ``ValueError`` and
-every output path that cannot be written.  A usage error prints the
-command's usage line, a hint and ``Error: <message>`` to stderr.
+2 usage errors: every input the library rejects with a ``ValueError``,
+every output path that cannot be written, and a table and its manifest
+named as one file.  A usage error prints the command's usage line, a hint
+and ``Error: <message>`` to stderr.
 
 One path per job: ``_estimate`` is the only caller of the estimator,
 ``_emit`` the only writer of output and the one place exit 1 is decided,
@@ -61,7 +62,13 @@ def _emit(inv: _Invocation, command: str, out: str,
           manifest_path: str | None = None, csv_path: str | None = None):
     """Write ``out`` to ``csv_path`` (or stdout) and its manifest of the
     command's declared parameters, files first so that an unwritable path
-    prints nothing; exit 1 when an estimate behind ``out`` did not converge."""
+    prints nothing; exit 1 when an estimate behind ``out`` did not converge.
+    Both on one file raise before any write: the manifest would replace
+    the table."""
+    if csv_path and manifest_path:
+        import os.path
+        if os.path.realpath(csv_path) == os.path.realpath(manifest_path):
+            raise ValueError(f"--csv and --manifest name the same file: {csv_path}")
     files = {csv_path: out} if csv_path else {}
     if manifest_path:
         import hashlib

@@ -141,10 +141,10 @@ def entropy_estimate(word: BraidWord, tol: float = DEFAULT_TOL,
     Iterates the exact action one pass at a time, never rounded.  The flip
     rule is piecewise linear; once a pass takes the same branches as the
     pass p <= ``_kernel_py.MAX_CYCLE`` passes before it (the smallest such
-    p), the pass of w^p on the cell of the last p branch lists is one
-    integer matrix M, and ``_certify`` looks for an eigenvector of M, near
-    the iterate, that is a measured lamination and that the full
-    piecewise-linear pass of w^p stretches by lambda_p > 1
+    p), p runs of the word's one compiled pass on the cells of the last p
+    branch lists are one integer matrix M, and ``_certify`` looks for an
+    eigenvector of M, near the iterate, that is a measured lamination and
+    that the p full piecewise-linear runs stretch by lambda_p > 1
     (Bestvina-Handel, *Topology* 1995; Hall-Yurttas, *Topol. Appl.* 2009).
     For a pseudo-Anosov class log(lambda_p)/p is then the entropy; for a
     reducible class it is the entropy of one pseudo-Anosov component, a
@@ -175,14 +175,11 @@ def entropy_estimate(word: BraidWord, tol: float = DEFAULT_TOL,
         lognorms += engine.advance(1)
         if engine.periodic_at is not None:
             return EntropyEstimate(0.0, engine.iterations, 0.0, "periodic")
-        p = engine.cycle() if engine.iterations >= retry_at else None
-        if p is not None:
-            program = engine.program if p == 1 else _fan.compile_pass(
-                len(engine.vals), word.letters * p, _fan.letter_programs(n))
-            bits = [bit for branches in list(engine.history)[-p:]
-                    for bit in branches]
+        cells = engine.cycle() if engine.iterations >= retry_at else None
+        if cells is not None:
+            p = len(cells)
             growth = math.exp(lognorms[-1] - lognorms[-1 - p])
-            found = _certify(engine.vals, program, bits, n, growth, tol)
+            found = _certify(engine.vals, engine.program, cells, n, growth, tol)
             if found is not None:
                 lam, residual = found
                 return EntropyEstimate(math.log(lam) / p, engine.iterations,
@@ -199,22 +196,21 @@ def entropy_estimate(word: BraidWord, tol: float = DEFAULT_TOL,
     return EntropyEstimate(max(best, 0.0), engine.iterations, last_delta, "none")
 
 
-def _certify(vals: list[int], program, bits: list[bool], n: int,
+def _certify(vals: list[int], program, cells: list[list[bool]], n: int,
              sigma: float, tol: float) -> tuple[float, float] | None:
-    """(lambda, relative residual) certified for the compiled pass
-    ``program`` from the iterate ``vals``, or None.
+    """(lambda, relative residual) certified for ``len(cells)`` runs of the
+    compiled pass ``program`` from the iterate ``vals``, or None.
 
-    M is the integer matrix of the pass on the cell of ``bits``, the
-    branches its flips are expected to take; for a cycle of p passes the
-    pass is w^p and ``bits`` the last p branch lists joined.
+    M is ``_fan.pass_matrix`` of the runs on ``cells``, the branch lists
+    their flips are expected to take: for a cycle of p passes, its last p.
     Shift-and-invert from the float-scaled iterate refines an eigenvector x
     of M, starting at the shift ``sigma`` and moving the shift to the
     stretch ratio of the refined vector after each solve.  With x scaled to
     max |x| = 1 and the gate min(tol, max(1e-12, 1e-15 |M|_inf)), lambda is
     accepted when x >= -gate, the weights of x on every triangle of the fan
     satisfy the triangle inequalities up to the gate, lambda > 1, and the
-    full piecewise-linear pass (``_fan.run_steps`` on floats, which also
-    checks that x lies in the cell) stretches x by lambda with a relative
+    runs of the full pass (``_fan.run_steps`` on floats, which also check
+    that x lies in the cells) stretch x by lambda with a relative
     residual at most the gate.  Then x is, up to the gate, a projectively
     invariant measured lamination stretched by lambda: for a pseudo-Anosov
     class it is the unstable foliation and log(lambda) the entropy; for a
@@ -229,7 +225,7 @@ def _certify(vals: list[int], program, bits: list[bool], n: int,
     """
     if sigma == 1.0:
         return None
-    m = _fan.pass_matrix(len(vals), program, bits)
+    m = _fan.pass_matrix(len(vals), program, cells)
     norm = max(sum(map(abs, row)) for row in m)
     gate = min(tol, max(1e-12, 1e-15 * norm))
     rows = [list(map(float, row)) for row in m]
@@ -246,7 +242,8 @@ def _certify(vals: list[int], program, bits: list[bool], n: int,
         if not total > 0:
             return None
         z = list(x)
-        _fan.run_steps(z, program)
+        for _ in cells:
+            _fan.run_steps(z, program)
         lam = sum(z) / total
         if not lam - 1 > 2 * gate:
             return None

@@ -79,6 +79,7 @@ class MappingWord(Record):
     _fields = ("genus", "letters")
 
     def __init__(self, genus: int, letters: tuple[int, ...]):
+        letters = tuple(letters)
         for t in letters:
             if t == 0 or abs(t) > 2 * genus + 1:
                 raise ValueError(f"twist index {t} out of range for genus "

@@ -53,6 +53,7 @@ class Permutation(Record):
     _fields = ("images",)
 
     def __init__(self, images: tuple[int, ...]):
+        images = tuple(images)
         n = len(images)
         if sorted(images) != list(range(1, n + 1)):
             raise ValueError(f"not a permutation of 1..{n}: {images}")

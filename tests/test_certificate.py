@@ -22,7 +22,7 @@ from braidseq.dynnikov import DEFAULT_TOL, entropy_estimate
 from braidseq.families import FamilySpec, generate
 from braidseq.standard import StandardForm, class_to_braid
 from braidseq.tribraid import exact_dilatation
-from braidseq.words import BraidWord
+from braidseq.words import BraidWord, full_twist
 
 sys.path.insert(0, str(Path(__file__).resolve().parent.parent / "perfbench"))
 
@@ -212,6 +212,86 @@ def test_a_two_cycle_certifies_the_long_run_value(text, passes, value):
     assert est.converged and est.method == "linear_piece"
     assert est.iterations == passes and est.cycle == 2
     assert abs(est.value - float(value)) <= 1e-12
+
+
+def power_pass(word, p):
+    """w^p compiled as one word, the reference for a cycle's p runs of the
+    word's one compiled pass: run on the cycle's branch lists joined into
+    one, it must give the same matrix and the same float pass."""
+    size = 3 * (word.degree + 2) - 3
+    return _fan.compile_pass(size, word.letters * p,
+                             _fan.letter_programs(word.degree))
+
+
+#: the words that certify from a cycle of p > 1 passes, with that pass:
+#: EARLY_CYCLES and defect 12's word (p = 4)
+CYCLES = [(text, passes) for text, passes, _ in EARLY_CYCLES] + [
+    ("B7 3 1 2 1 -5 4 -6", 12)]
+
+
+@pytest.mark.parametrize("text, passes", CYCLES, ids=[c[0] for c in CYCLES])
+def test_a_cycle_certifies_like_the_compiled_power(text, passes):
+    # p runs of the one compiled pass on the cycle's cells are the pass of
+    # w^p on their joined branch lists: the same matrix, the same float
+    # pass bit for bit, and so the same certificate
+    word = BraidWord.from_text(text)
+    est = entropy_estimate(word)
+    n, size = word.degree, 3 * (word.degree + 2) - 3
+    seed = dynnikov.default_seed(n)
+    engine = _kernel_py.PureEngine(_fan.decode(n, seed.a, seed.b),
+                                   word.letters, _fan.letter_programs(n))
+    lognorms = [engine.lognorm()] + engine.advance(passes)
+    cells = engine.cycle()
+    p = len(cells)
+    assert est.iterations == passes and est.cycle == p > 1
+    power = power_pass(word, p)
+    joined = [bit for bits in cells for bit in bits]
+    assert (_fan.pass_matrix(size, engine.program, cells)
+            == _fan.pass_matrix(size, power, [joined]))
+    top = max(engine.vals)
+    once = [v / top for v in engine.vals]
+    runs = list(once)
+    once_bits = _fan.run_steps(once, power)
+    run_bits = [bit for _ in cells for bit in _fan.run_steps(runs, engine.program)]
+    assert once_bits == run_bits
+    assert list(map(float.hex, once)) == list(map(float.hex, runs))
+    sigma = math.exp(lognorms[-1] - lognorms[-1 - p])
+    found = dynnikov._certify(engine.vals, engine.program, cells, n, sigma,
+                              DEFAULT_TOL)
+    assert found == dynnikov._certify(engine.vals, power, [joined], n, sigma,
+                                      DEFAULT_TOL)
+    lam, residual = found
+    assert (math.log(lam) / p, residual) == (est.value, est.last_delta)
+
+
+@pytest.mark.parametrize("n", [3, 4, 5])
+def test_a_vector_the_pass_fixes_is_not_a_stretch(monkeypatch, n):
+    # the full twist is central: its pass fixes every curve, so the float
+    # pass stretches the refined x by 1 up to rounding, with a residual far
+    # below the gate (at least 1e-12), and only the margin
+    # lambda - 1 > 2 * gate rejects it
+    size = 3 * (n + 2) - 3
+    program = _fan.compile_pass(size, full_twist(n).letters,
+                                _fan.letter_programs(n))
+    seed = dynnikov.default_seed(n)
+    vals = _fan.decode(n, seed.a, seed.b)
+    start = list(vals)
+    bits = _fan.run_steps(vals, program)
+    assert vals == start
+    passes, run_steps = [], _fan.run_steps
+
+    def recording(z, program):
+        x = list(z)
+        branches = run_steps(z, program)
+        passes.append((x, list(z)))
+        return branches
+
+    monkeypatch.setattr(_fan, "run_steps", recording)
+    assert dynnikov._certify(vals, program, [bits], n, 1.5, 1e-9) is None
+    (x, z), = passes                # one float pass, then the margin
+    lam = sum(z) / sum(x)
+    assert abs(lam - 1) < 1e-13
+    assert max(abs(u - lam * t) for u, t in zip(z, x)) / lam < 1e-13
 
 
 def test_cycles_longer_than_max_cycle_are_not_certified(monkeypatch):

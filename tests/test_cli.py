@@ -407,6 +407,9 @@ def test_cone_braid_word():
     ("prongs", "--class", "1,-3"),
     # orbit data whose axis class meets the axis slope not at all
     ("prongs", "--orbit", "1,1:2,1", "--epsilon", "-1", "--class", "1,1"),
+    # one file for the table and its manifest would keep only the manifest
+    ("family", "xi", "--p", "1..2", "--csv", "/dev/null",
+     "--manifest", "/dev/../dev/null"),
 ])
 def test_rejected_input_is_a_usage_error(args):
     res = run(*args)
@@ -434,6 +437,9 @@ USAGE_MESSAGES = {
     ("entropy", "--braid", "1 -2", "--tol", "inf"): "need a finite tol",
     ("family", "xi", "--p", "1", "--csv", "/nonexistent/x.csv"):
         "cannot write /nonexistent/x.csv: No such file or directory",
+    ("family", "xi", "--p", "1..2", "--csv", "/dev/null",
+     "--manifest", "/dev/../dev/null"):
+        "--csv and --manifest name the same file: /dev/null",
     ("family", "xi", "--p", "1", "--csv", "/tmp"):
         "cannot write /tmp: Is a directory",
     ("tribraid", "--word", "-1 2", "--manifest", "/nonexistent/d/m.json"):
@@ -494,6 +500,15 @@ def test_manifest_that_is_not_json_is_a_usage_error(tmp_path):
     res = run("family", "xi", "--p", "1", "--tol", "inf", "--manifest", str(path))
     assert res.exit_code == 2 and res.output.startswith("Usage:")
     assert "need a finite tol" in res.output
+    assert not path.exists()
+
+
+def test_csv_and_manifest_on_one_file_write_nothing(tmp_path):
+    path = tmp_path / "out"
+    res = run("reproduce", "thm5.2", "--pmax", "1", "--csv", str(path),
+              "--manifest", f"{tmp_path}/./out")
+    assert res.exit_code == 2 and res.output.startswith("Usage:")
+    assert "--csv and --manifest name the same file" in res.output
     assert not path.exists()
 
 
@@ -578,6 +593,43 @@ def test_emit_goldens(line, stdout):
     res = run(*shlex.split(line))
     assert res.exit_code == 0
     assert res.output == stdout
+
+
+# the full stdout of the paper's two tables at default arguments; a change
+# that moves a digit updates this golden and says so in CHANGES.md
+REPRODUCE_GOLDENS = {
+    "thm1.1": """\
+p,degree,ent,Ent,abs_error_vs_limit,converged
+1,6,0.5435350724978704,2.7176753624893517,0.08375956863971856,True
+2,8,0.38224508584003986,2.675715600880279,0.04179980703064601,True
+3,10,0.2954418837970854,2.658976954173769,0.025061160324135745,True
+4,12,0.2409651873973168,2.6506170613704847,0.016701267520851548,True
+5,14,0.20352636661402496,2.6458427659823243,0.011926972132691116,True
+6,16,0.1761906568670097,2.6428598530051453,0.008944059155512107,True
+7,18,0.1553453928846777,2.640871679039521,0.006955885189887656,True
+8,20,0.13892000860940604,2.639480163578715,0.005564369729081697,True
+# limit 2*log(2+sqrt(3)) = 2.633915793849633
+""",
+    "thm5.2": """\
+p,degree,ent,Ent,abs_error_vs_Ent_b1,converged
+1,7,0.9624236501192079,5.774541900715247,0.8770016635192457,True
+2,11,0.6045416380110363,6.045416380110363,0.60612718412413,True
+3,15,0.4421378287317577,6.189929602244608,0.4616139619898849,True
+4,19,0.34883781922274104,6.279080746009338,0.3724628182251548,True
+5,23,0.28815704384697105,6.339454964633363,0.3120885996011298,True
+6,27,0.2455007350599882,6.383019111559693,0.2685244526748001,True
+7,31,0.21386418429551407,6.415925528865422,0.2356180353690709,True
+8,35,0.1894604336510611,6.441654744136078,0.20988882009841525,True
+# Ent(b_1) = 6.651543564234493
+""",
+}
+
+
+@pytest.mark.parametrize("target", sorted(REPRODUCE_GOLDENS))
+def test_reproduce_defaults_print_their_golden(target):
+    res = run("reproduce", target)
+    assert res.exit_code == 0
+    assert res.output == REPRODUCE_GOLDENS[target]
 
 
 def test_cone_braid_readme_golden():

@@ -180,7 +180,7 @@ def test_compiled_pass_equals_the_per_letter_action(n, data):
         expected_bits, expected_rows = replay_letters(expected, letters, programs)
         assert vals == expected and bits == expected_bits
         assert len(bits) == 4 * len(letters)
-    assert _fan.pass_matrix(size, program, bits) == expected_rows
+    assert _fan.pass_matrix(size, program, [bits]) == expected_rows
     image = [sum(m * v for m, v in zip(row, ints)) for row in expected_rows]
     assert image == vals                        # the pass is M on its cell
     _fan.apply_word(ints, letters, programs)
@@ -245,3 +245,10 @@ def test_each_estimate_and_act_compiles_its_word_once(monkeypatch):
     assert verdict.witness == "permutations differ" and compiled == []
     entropy_estimate(BraidWord(4, (1, -2, 3, -2)))
     assert len(compiled) == 1
+    # a cycle of p > 1 passes is certified from the same compiled pass
+    for text, p in (("B7 3 1 2 1 -5 4 -6", 4),
+                    ("B4 -3 1 1 -1 2 2 -2 2 2 2 2 1", 2)):
+        compiled.clear()
+        word = BraidWord.from_text(text)
+        assert entropy_estimate(word).cycle == p
+        assert compiled == [word.letters]

@@ -3,8 +3,9 @@ from hypothesis import given, settings, strategies as st
 
 from braidseq.dynnikov import entropy_estimate
 from braidseq.standard import StandardForm, full_twist_step
-from braidseq.words import (BraidWord, Record, full_twist, half_twist,
-                            linking_profile, make_generator)
+from braidseq.spin import MappingWord
+from braidseq.words import (BraidWord, Permutation, Record, full_twist,
+                            half_twist, linking_profile, make_generator)
 
 
 def letters_strategy(n, max_len=12):
@@ -254,6 +255,12 @@ def test_record_contract():
     a, b = BraidWord(3, (1, -2)), BraidWord(3, [1, -2])
     assert a == b and hash(a) == hash(b) and {a: 1}[b] == 1
     assert a != BraidWord(3, (1, 2))
+    # every record built from a list stores a tuple, so it hashes
+    for make, items in ((Permutation, [2, 1]),
+                        (lambda x: MappingWord(1, x), [1, -2])):
+        listed, tupled = make(items), make(tuple(items))
+        assert listed == tupled and hash(listed) == hash(tupled)
+        assert {tupled: 1}[listed] == 1
 
     class Twin(Record):
         _fields = BraidWord._fields
