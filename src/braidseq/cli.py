@@ -63,10 +63,11 @@ def _emit(inv: _Invocation, command: str, out: str,
     """Write ``out`` to ``csv_path`` (or stdout) and its manifest of the
     command's declared parameters, files first so that an unwritable path
     prints nothing; exit 1 when an estimate behind ``out`` did not converge.
-    Both on one file raise before any write: the manifest would replace
-    the table."""
+    Every path is opened before any is written, so that an unwritable one
+    leaves no file behind and truncates none.  Both on one file raise
+    before any write: the manifest would replace the table."""
+    import os
     if csv_path and manifest_path:
-        import os.path
         if os.path.realpath(csv_path) == os.path.realpath(manifest_path):
             raise ValueError(f"--csv and --manifest name the same file: {csv_path}")
     files = {csv_path: out} if csv_path else {}
@@ -78,12 +79,20 @@ def _emit(inv: _Invocation, command: str, out: str,
             "tool_version": __version__,
             "outputs_digest": hashlib.sha256(out.encode()).hexdigest(),
         }) + "\n"
-    for path, body in files.items():
-        try:
+    made = []                                  # the files this call created
+    try:
+        for path in files:                     # "a" creates, never truncates
+            existed = os.path.lexists(path)
+            open(path, "a").close()
+            if not existed:
+                made.append(path)
+        for path, body in files.items():
             with open(path, "w") as fh:
                 fh.write(body)
-        except OSError as exc:
-            raise ValueError(f"cannot write {path}: {exc.strerror}") from exc
+    except OSError as exc:
+        for created in made:
+            os.remove(created)
+        raise ValueError(f"cannot write {path}: {exc.strerror}") from exc
     text = f"wrote {csv_path}\n" if csv_path else out
     sys.stdout.write(text if text.endswith("\n") else text + "\n")
     if inv.unconverged:
@@ -181,7 +190,7 @@ _JSON = _arg("--json", dest="as_json", action="store_true")
 _MANIFEST = _arg("--manifest", metavar="PATH")
 _CSV = _arg("--csv", dest="csv_path", metavar="PATH")
 _TOL = _arg("--tol", type=float, default=dynnikov.DEFAULT_TOL)
-_MAX_ITER = _arg("--max-iter", type=int, default=4096)
+_MAX_ITER = _arg("--max-iter", type=int, default=dynnikov.DEFAULT_MAX_ITER)
 
 
 def _parser() -> _Parser:
@@ -319,9 +328,7 @@ def tribraid_cmd(inv, word, as_json, manifest):
 @_command("entropy",
           _arg("--braid", dest="word", required=True),
           _arg("--degree", type=int),
-          _TOL,
-          _arg("--max-iter", type=int, default=dynnikov.DEFAULT_MAX_ITER),
-          _JSON, _MANIFEST)
+          _TOL, _MAX_ITER, _JSON, _MANIFEST)
 def entropy_cmd(inv, word, degree, tol, max_iter, as_json, manifest):
     """Entropy estimate log(lambda) and normalized entropy of a braid."""
     b = BraidWord.from_text(word, degree=degree)
@@ -544,8 +551,7 @@ def spin_lift(inv, word, degree, spherical):
 @_command("reproduce",
           _arg("target", choices=["thm1.1", "thm5.2"]),
           _arg("--pmax", type=_at_least(1), default=8),
-          _arg("--tol", type=float, default=1e-8),
-          _MAX_ITER, _CSV, _MANIFEST)
+          _TOL, _MAX_ITER, _CSV, _MANIFEST)
 def reproduce_cmd(inv, target, pmax, tol, max_iter, csv_path, manifest):
     """End-to-end convergence experiments behind the headline sequences."""
     if target == "thm1.1":

@@ -10,7 +10,7 @@ from pathlib import Path
 import pytest
 from conftest import invoke
 
-from braidseq import cli
+from braidseq import cli, dynnikov
 
 
 def run(*args):
@@ -410,6 +410,9 @@ def test_cone_braid_word():
     # one file for the table and its manifest would keep only the manifest
     ("family", "xi", "--p", "1..2", "--csv", "/dev/null",
      "--manifest", "/dev/../dev/null"),
+    ("braid", "info", "--word", "S3 1"),
+    ("braid", "linking", "--word", "1", "--degree", "3", "--strand", "1"),
+    ("tribraid", "--word", ""),
 ])
 def test_rejected_input_is_a_usage_error(args):
     res = run(*args)
@@ -475,6 +478,10 @@ USAGE_MESSAGES = {
     ("prongs", "--class", "1,-3"): "need x >= 1 and y >= 0",
     ("prongs", "--orbit", "1,1:2,1", "--epsilon", "-1", "--class", "1,1"):
         "prong count must be >= 1",
+    ("braid", "info", "--word", "S3 1"): "bad header token 'S3'",
+    ("braid", "linking", "--word", "1", "--degree", "3", "--strand", "1"):
+        "strand 1 is not fixed by the permutation",
+    ("tribraid", "--word", ""): "empty word",
 }
 
 
@@ -484,6 +491,17 @@ def test_no_arguments_print_the_help_as_a_usage_error():
     assert out.stdout == ""
     assert out.stderr.startswith("Usage:")
     assert all(name in out.stderr for name in ("entropy", "family", "reproduce"))
+
+
+@pytest.mark.parametrize("group", sorted(cli._GROUPS))
+def test_group_without_its_command_prints_its_help_as_a_usage_error(group, capsys):
+    with pytest.raises(SystemExit) as exc:
+        cli.main([group])
+    assert exc.value.code == 2
+    out, err = capsys.readouterr()
+    assert out == ""
+    assert err.startswith(f"Usage: braidseq {group} [-h] COMMAND ...\n")
+    assert err == run(group, "--help").output
 
 
 def test_help_exits_zero():
@@ -512,6 +530,20 @@ def test_csv_and_manifest_on_one_file_write_nothing(tmp_path):
     assert not path.exists()
 
 
+def test_unwritable_manifest_writes_no_table(tmp_path, monkeypatch):
+    # every output path is opened before any is written
+    monkeypatch.chdir(tmp_path)
+    args = ("family", "xi", "--p", "1", "--csv", "t.csv",
+            "--manifest", "/nonexistent/m.json")
+    res = run(*args)
+    assert res.exit_code == 2 and res.output.startswith("Usage:")
+    assert "cannot write /nonexistent/m.json" in res.output
+    assert list(tmp_path.iterdir()) == []
+    (tmp_path / "t.csv").write_bytes(b"kept")
+    assert run(*args).exit_code == 2
+    assert (tmp_path / "t.csv").read_bytes() == b"kept"
+
+
 def test_csv_file_and_manifest_match_stdout(tmp_path):
     args = ("family", "xi", "--p", "1..2")
     stdout = run(*args).output
@@ -526,8 +558,20 @@ def test_csv_file_and_manifest_match_stdout(tmp_path):
     assert doc["arguments"] == {
         "name": "xi", "p_range": "1..2", "seed_blocks": None,
         "seed_degree": None, "with_entropy": False,
-        "tol": 1e-9, "max_iter": 4096, "csv_path": str(csv_path),
+        "tol": 1e-9, "max_iter": 512, "csv_path": str(csv_path),
         "manifest": str(manifest)}
+
+
+@pytest.mark.parametrize("line", [
+    'entropy --braid "1 -2"',
+    "family xi --p 1",
+    "cone table --seed-blocks -1 --seed-degree 3",
+    "reproduce thm1.1",
+], ids=lambda line: line.split(" --")[0])
+def test_every_estimating_command_defaults_to_the_library_budget(line):
+    args = cli._parser().parse_args(shlex.split(line))
+    assert (args.tol, args.max_iter) == (dynnikov.DEFAULT_TOL,
+                                         dynnikov.DEFAULT_MAX_ITER)
 
 
 # exact stdout of commands that write through ``_emit`` or estimate through
