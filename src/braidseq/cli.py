@@ -67,11 +67,11 @@ def _emit(inv: _Invocation, command: str, out: str,
     leaves no file behind and truncates none.  Both on one file raise
     before any write: the manifest would replace the table."""
     import os
-    if csv_path and manifest_path:
+    if csv_path is not None and manifest_path is not None:
         if os.path.realpath(csv_path) == os.path.realpath(manifest_path):
             raise ValueError(f"--csv and --manifest name the same file: {csv_path}")
-    files = {csv_path: out} if csv_path else {}
-    if manifest_path:
+    files = {csv_path: out} if csv_path is not None else {}
+    if manifest_path is not None:
         import hashlib
         files[manifest_path] = _json_text({
             "command": command,
@@ -93,7 +93,7 @@ def _emit(inv: _Invocation, command: str, out: str,
         for created in made:
             os.remove(created)
         raise ValueError(f"cannot write {path}: {exc.strerror}") from exc
-    text = f"wrote {csv_path}\n" if csv_path else out
+    text = f"wrote {csv_path}\n" if csv_path is not None else out
     sys.stdout.write(text if text.endswith("\n") else text + "\n")
     if inv.unconverged:
         sys.exit(1)
@@ -237,12 +237,10 @@ main.main = lambda args, prog_name: main(args)
 
 @_command("braid info",
           _arg("--word", required=True, help='letters, e.g. "1 1 -2" or "B3 1 1 -2"'),
-          _arg("--degree", type=int),
-          _arg("--spherical", action="store_true"),
           _JSON, _MANIFEST)
-def braid_info(inv, word, degree, spherical, as_json, manifest):
+def braid_info(inv, word, as_json, manifest):
     """Permutation, fixed points, exponent sum and symmetry verdicts."""
-    b = BraidWord.from_text(word, degree=degree, spherical=spherical or None)
+    b = BraidWord.from_text(word)
     perm = b.permutation()
     info = {
         "word": b.to_text(),
@@ -270,11 +268,10 @@ def braid_info(inv, word, degree, spherical, as_json, manifest):
 
 @_command("braid linking",
           _arg("--word", required=True),
-          _arg("--degree", type=int),
           _arg("--strand", type=int, required=True))
-def braid_linking(inv, word, degree, strand):
+def braid_linking(inv, word, strand):
     """Per-component linking numbers and the monotonicity verdict."""
-    b = BraidWord.from_text(word, degree=degree)
+    b = BraidWord.from_text(word)
     prof = linking_profile(b, strand)
     rows = [[" ".join(map(str, cyc)), lk] for cyc, lk in prof.components]
     out = _csv_text(["component", "linking_number"], rows)
@@ -300,7 +297,7 @@ def braid_generator(inv, kind, n, j):
 def tribraid_cmd(inv, word, as_json, manifest):
     """Exact dilatation of a 3-braid pA word."""
     from .tribraid import exact_dilatation, transition_matrix
-    b = BraidWord.from_text(word, degree=3)
+    b = BraidWord.from_text(word)
     rows = transition_matrix(b)
     lam = exact_dilatation(b)
     info = {
@@ -327,11 +324,10 @@ def tribraid_cmd(inv, word, as_json, manifest):
 
 @_command("entropy",
           _arg("--braid", dest="word", required=True),
-          _arg("--degree", type=int),
           _TOL, _MAX_ITER, _JSON, _MANIFEST)
-def entropy_cmd(inv, word, degree, tol, max_iter, as_json, manifest):
+def entropy_cmd(inv, word, tol, max_iter, as_json, manifest):
     """Entropy estimate log(lambda) and normalized entropy of a braid."""
-    b = BraidWord.from_text(word, degree=degree)
+    b = BraidWord.from_text(word)
     est, ent = _estimate(inv, b, tol, max_iter)
     info = {
         "word": b.to_text(),
@@ -378,17 +374,14 @@ def _parse_range(text: str) -> list[int]:
           _arg("--p", dest="p_range", required=True,
                help="parameter or range, e.g. 1..8"),
           _arg("--seed-blocks", help='blocks like "-1 | -1" for seeded families'),
-          _arg("--seed-degree", type=int),
           _arg("--with-entropy", action="store_true"),
           _TOL, _MAX_ITER, _CSV, _MANIFEST)
-def family_cmd(inv, name, p_range, seed_blocks, seed_degree, with_entropy,
+def family_cmd(inv, name, p_range, seed_blocks, with_entropy,
                tol, max_iter, csv_path, manifest):
     """Generate family members; optionally with (ent, Ent) columns.  A
     seeded member is a cone class over its seed: z is (p + 1, 1), beta is
     (p + 1, p) and b_p is (1, p)."""
-    if (seed_blocks is None) != (seed_degree is None):
-        raise ValueError("--seed-blocks and --seed-degree go together")
-    seed = (StandardForm.from_blocks_text(seed_blocks, seed_degree)
+    seed = (StandardForm.from_blocks_text(seed_blocks)
             if seed_blocks is not None else None)
     dynnikov.check_budget(tol, max_iter)   # --manifest records it either way
     header = ["p", "degree", "word"]
@@ -427,13 +420,12 @@ def cone_norm(inv, n, u, cls):
 
 @_command("cone table",
           _arg("--seed-blocks", required=True),
-          _arg("--seed-degree", type=int, required=True),
           _arg("--xmax", type=_at_least(1), default=4),
           _arg("--ymax", type=_at_least(1), default=4),
           _TOL, _MAX_ITER, _CSV)
-def cone_table(inv, seed_blocks, seed_degree, xmax, ymax, tol, max_iter, csv_path):
+def cone_table(inv, seed_blocks, xmax, ymax, tol, max_iter, csv_path):
     """(x, y, norm, ent, Ent) over primitive interior classes."""
-    seed = StandardForm.from_blocks_text(seed_blocks, seed_degree)
+    seed = StandardForm.from_blocks_text(seed_blocks)
     rows = []
     for x in range(1, xmax + 1):
         for y in range(1, ymax + 1):
@@ -450,11 +442,10 @@ def cone_table(inv, seed_blocks, seed_degree, xmax, ymax, tol, max_iter, csv_pat
 
 @_command("cone braid",
           _arg("--seed-blocks", required=True),
-          _arg("--seed-degree", type=int, required=True),
           _arg("--class", dest="cls", required=True, help="x,y"))
-def cone_braid(inv, seed_blocks, seed_degree, cls):
+def cone_braid(inv, seed_blocks, cls):
     """Monodromy braid word of a primitive cone class."""
-    seed = StandardForm.from_blocks_text(seed_blocks, seed_degree)
+    seed = StandardForm.from_blocks_text(seed_blocks)
     x, y = _parse_class(cls)
     _emit(inv, "cone braid", class_to_braid(seed, x, y).to_braid_word().to_text())
 
@@ -487,9 +478,10 @@ def prongs_cmd(inv, orbit, twist, cls, sweep, epsilon, csv_path):
             foliation.TorusClass(*_parse_class(strand_txt)))
     if twist:
         data = foliation.compose_orbit_full_twist(data, twist)
-    if cls.count(",") != 1:
-        raise ValueError(f"expected a class like 2,1 or p,1; got {cls!r}")
-    xs, ys = cls.split(",")
+    try:                                   # None stands for the symbol p
+        xs, ys = (None if t.strip() == "p" else int(t) for t in cls.split(","))
+    except ValueError:
+        raise ValueError(f"expected a class like 2,1 or p,1; got {cls!r}") from None
     values = [None]
     if sweep:
         var, _, rng = sweep.partition("=")
@@ -498,8 +490,8 @@ def prongs_cmd(inv, orbit, twist, cls, sweep, epsilon, csv_path):
         values = _parse_range(rng)
     rows = []
     for pval in values:
-        x = int(xs) if xs.strip() != "p" else pval
-        y = int(ys) if ys.strip() != "p" else pval
+        x = pval if xs is None else xs
+        y = pval if ys is None else ys
         if x is None or y is None:
             raise ValueError("class contains p but no --sweep given")
         axis_p, strand_p = foliation.prong_counts(data, epsilon, x, y)
@@ -533,14 +525,11 @@ def spin_check(inv, family_name, p):
 
 
 @_command("spin lift",
-          _arg("--word", required=True),
-          _arg("--degree", type=int),
-          _arg("--spherical", action="store_true"))
-def spin_lift(inv, word, degree, spherical):
+          _arg("--word", required=True))
+def spin_lift(inv, word):
     """Lift any braid word and print the q0/q1 verdicts."""
     from .spin import lift_braid, preserves_form, q0, q1
-    b = BraidWord.from_text(word, degree=degree, spherical=spherical or None)
-    lifted = lift_braid(b)
+    lifted = lift_braid(BraidWord.from_text(word))
     g = lifted.genus
     _emit(inv, "spin lift", f"genus {g}; preserves q0: {preserves_form(lifted, q0(g))}; "
                             f"preserves q1: {preserves_form(lifted, q1(g))}")

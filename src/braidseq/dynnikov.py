@@ -154,6 +154,9 @@ def entropy_estimate(word: BraidWord, tol: float = DEFAULT_TOL,
     certificate is tried again after 1, 2, 4, ... further passes, so a word
     that cannot be certified costs O(log max_iter) factorizations; an
     attempt over passes that left the norm unchanged fails without one.
+    An attempt whose growth or matrix does not fit in floats ends the run
+    unconverged: the cycle repeats the same matrix, so every later attempt
+    would overflow too, at a higher cost per pass.
     Non-convergence is reported, not raised; it signals reducible-dominated
     growth or an insufficient budget.
     """
@@ -178,8 +181,11 @@ def entropy_estimate(word: BraidWord, tol: float = DEFAULT_TOL,
         cells = engine.cycle() if engine.iterations >= retry_at else None
         if cells is not None:
             p = len(cells)
-            growth = math.exp(lognorms[-1] - lognorms[-1 - p])
-            found = _certify(engine.vals, engine.program, cells, n, growth, tol)
+            try:
+                growth = math.exp(lognorms[-1] - lognorms[-1 - p])
+                found = _certify(engine.vals, engine.program, cells, n, growth, tol)
+            except OverflowError:       # lambda^p or M beyond float range;
+                break                   # so is every later attempt's
             if found is not None:
                 lam, residual = found
                 return EntropyEstimate(math.log(lam) / p, engine.iterations,

@@ -54,12 +54,18 @@ class StandardForm(Record):
         return BraidWord(d, tuple(letters))
 
     @staticmethod
-    def from_blocks_text(text: str, degree: int) -> "StandardForm":
-        """Parse "-1 | -1" style block lists."""
-        blocks = []
-        for chunk in text.split("|"):
-            blocks.append(tuple(int(t) for t in chunk.split()))
-        return StandardForm(degree, tuple(blocks))
+    def from_blocks_text(text: str) -> "StandardForm":
+        """Parse "-1 | -1" style block lists at degree d = the largest
+        |letter| + 2.  The degree is forced: at a larger d the blocks never
+        use s_{d-2}, so the form is a word in s_1..s_{d-3} times a power of
+        s_{d-1}; it keeps the curve around punctures d-1, d and is
+        reducible."""
+        blocks = tuple(tuple(int(t) for t in chunk.split())
+                       for chunk in text.split("|"))
+        top = max((abs(x) for b in blocks for x in b), default=0)
+        if not top:
+            raise ValueError(f"blocks {text!r} have no letter")
+        return StandardForm(top + 2, blocks)
 
 
 def full_twist_step(sf: StandardForm, p: int) -> StandardForm:

@@ -16,10 +16,10 @@ from .words import BraidWord, Record
 
 
 def check_pa_word(word: BraidWord) -> None:
-    if word.degree != 3:
-        raise ValueError(f"degree {word.degree} != 3")
     if not word.letters:
         raise ValueError("empty word")
+    if word.degree != 3:
+        raise ValueError(f"degree {word.degree} != 3")
     for x in word.letters:
         if x not in (-1, 2):
             raise ValueError(f"letter {x} not in {{-1, 2}}")

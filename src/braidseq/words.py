@@ -235,28 +235,22 @@ class BraidWord(Record):
         return " ".join([head] + [str(x) for x in self.letters])
 
     @staticmethod
-    def from_text(text: str, degree: int | None = None,
-                  spherical: bool | None = None) -> "BraidWord":
-        """Parse "B3 1 1 -2" or a bare letter list when ``degree`` is given;
-        a header that disagrees with ``degree`` or ``spherical`` raises
-        ``ValueError``.  With no header, ``spherical=None`` is a disk braid."""
+    def from_text(text: str) -> "BraidWord":
+        """Parse "B3 1 1 -2", "SB3 1 2" or a bare letter list: a header
+        states the degree and sphericity; a bare list is a disk braid of
+        degree its largest |letter| + 1."""
         tokens = text.replace(":", " ").split()
+        degree, spherical = None, False
         if tokens and tokens[0][0].upper() in "BS":
             head = tokens[0].upper()
-            sphere = head.startswith("SB")
-            if not (sphere or head.startswith("B")):
+            spherical = head.startswith("SB")
+            if not (spherical or head.startswith("B")):
                 raise ValueError(f"bad header token {tokens[0]!r}")
-            given = int(head[2 if sphere else 1:])
-            if degree not in (None, given):
-                raise ValueError(f"header {tokens[0]!r} has degree {given}, "
-                                 f"not {degree}")
-            if spherical not in (None, sphere):
-                raise ValueError(f"header {tokens[0]!r} has spherical={sphere}")
-            degree, spherical, tokens = given, sphere, tokens[1:]
+            degree, tokens = int(head[2 if spherical else 1:]), tokens[1:]
         letters = tuple(int(t) for t in tokens)
         if degree is None:
             degree = max((abs(x) for x in letters), default=1) + 1
-        return BraidWord(degree, letters, bool(spherical))
+        return BraidWord(degree, letters, spherical)
 
 
 # -- named generators -----------------------------------------------------

@@ -25,7 +25,7 @@ def strict_json(text):
 
 
 def test_braid_info_golden():
-    res = run("braid", "info", "--word", "1 1 -2", "--degree", "3")
+    res = run("braid", "info", "--word", "B3 1 1 -2")
     assert res.exit_code == 0
     assert "(1) (2 3)" in res.output
     assert "fixed points:  [1]" in res.output
@@ -213,9 +213,7 @@ DEFERRED_GOLDENS = [
 {
   "arguments": {
     "as_json": true,
-    "degree": null,
     "manifest": "m.json",
-    "spherical": false,
     "word": "1 -2"
   },
   "command": "braid info",
@@ -242,7 +240,7 @@ def test_deferred_import_commands_in_fresh_interpreter(args, stdout, manifest,
     (("entropy", "--braid", "B3 2 2", "--max-iter", "64", "--json"), "{"),
     (("family", "z", "--p", "1..2", "--with-entropy", "--max-iter", "8"),
      "p,degree,word,ent,Ent,converged"),
-    (("cone", "table", "--seed-blocks", "-1", "--seed-degree", "3",
+    (("cone", "table", "--seed-blocks", "-1",
       "--xmax", "2", "--ymax", "2", "--max-iter", "1"),
      "x,y,norm,ent,Ent,converged"),
     (("reproduce", "thm5.2", "--pmax", "2", "--max-iter", "8"),
@@ -257,6 +255,17 @@ def test_entropy_nonconverged_exit_code(args, header):
         assert json.loads(res.output)["converged"] is False
     else:
         assert ",False\n" in res.output
+
+
+@pytest.mark.parametrize("repeats", [737, 740])
+def test_entropy_beyond_float_range_exits_1_with_json(repeats):
+    word = "B3 " + " ".join(["-1 2"] * repeats)
+    res = run("entropy", "--braid", word, "--max-iter", "8")
+    assert res.exit_code == 1 and res.exc_info[0] is SystemExit
+    doc = strict_json(res.output)
+    exact = strict_json(run("tribraid", "--word", word, "--json").output)
+    assert doc["method"] == "none" and doc["converged"] is False
+    assert abs(doc["value"] - exact["log_dilatation"]) < 1e-12
 
 
 def test_cone_norm():
@@ -288,11 +297,6 @@ def test_family_words():
     lines = res.output.strip().splitlines()
     assert lines[1].startswith("1,6,1 2 3 3 4 5")
     assert lines[2].startswith("2,8,")
-
-
-def test_family_requires_seed_degree():
-    res = run("family", "z", "--p", "1", "--seed-blocks", "-1")
-    assert res.exit_code == 2
 
 
 def test_spin_check():
@@ -336,31 +340,29 @@ def test_manifest_written(tmp_path):
 def test_manifest_digest_matches_output(tmp_path):
     import hashlib
     path = tmp_path / "m.json"
-    res = run("braid", "info", "--word", "1 -2", "--degree", "3",
-              "--manifest", str(path))
+    res = run("braid", "info", "--word", "B3 1 -2", "--manifest", str(path))
     doc = json.loads(path.read_text())
     digest = hashlib.sha256(res.output.rstrip("\n").encode()).hexdigest()
     assert doc["outputs_digest"] == digest
 
 
 def test_cone_braid_word():
-    res = run("cone", "braid", "--seed-blocks", "-1", "--seed-degree", "3",
-              "--class", "1,1")
+    res = run("cone", "braid", "--seed-blocks", "-1", "--class", "1,1")
     assert res.exit_code == 0
     assert res.output.strip() == "B4 -1 2 3 3"
 
 
 @pytest.mark.parametrize("args", [
     ("prongs", "--class", "5"),
-    ("family", "z", "--p", "1", "--seed-blocks", "x", "--seed-degree", "3"),
-    ("cone", "braid", "--seed-blocks", "-1|-1", "--seed-degree", "3",
-     "--class", "2,4"),
+    ("family", "z", "--p", "1", "--seed-blocks", "x"),
+    ("cone", "braid", "--seed-blocks", "-1|-1", "--class", "2,4"),
     ("cone", "norm", "--n", "3", "--u", "1", "--class", "-1,2"),
-    ("spin", "lift", "--word", "1", "--degree", "2"),
-    ("cone", "table", "--seed-blocks", "-1", "--seed-degree", "2"),
+    ("spin", "lift", "--word", "B2 1"),
+    # a seed of degree 2 is blocks with no letter
+    ("cone", "table", "--seed-blocks", "|"),
     ("entropy", "--braid", "1 -2", "--kernel", "pure"),
     ("tribraid", "--word", "1 2"),
-    ("braid", "info", "--word", "1 5", "--degree", "3"),
+    ("braid", "info", "--word", "B3 1 5"),
     ("entropy", "--braid", "1 -2", "--max-iter", "0"),
     ("entropy", "--braid", "1 -2", "--max-iter", "-3"),
     ("entropy", "--braid", "1 -2", "--tol", "0"),
@@ -374,10 +376,8 @@ def test_cone_braid_word():
     ("prongs", "--class", "2,1", "--sweep", "p=1=2"),
     ("family", "xi", "--p", "3..1"),
     ("entropy", "--braid", "B3 1 -2", "--degree", "4"),
-    ("cone", "table", "--seed-blocks", "-1 | -1", "--seed-degree", "3",
-     "--xmax", "0"),
-    ("cone", "table", "--seed-blocks", "-1 | -1", "--seed-degree", "3",
-     "--ymax", "0"),
+    ("cone", "table", "--seed-blocks", "-1 | -1", "--xmax", "0"),
+    ("cone", "table", "--seed-blocks", "-1 | -1", "--ymax", "0"),
     ("braid", "info", "--word", "B3 1 -2", "--spherical"),
     ("spin", "lift", "--word", "B3 1 1", "--spherical"),
     ("entropy", "--braid", "1 -2", "--tol", "inf"),
@@ -390,7 +390,7 @@ def test_cone_braid_word():
     ("family", "xi", "--p", "1", "--tol", "-1"),
     ("family", "xi", "--p", "1", "--tol", "inf", "--manifest", "/nonexistent/m.json"),
     ("family", "beta", "--p", "1", "--pre-twist", "2"),
-    ("family", "xi", "--p", "1", "--seed-blocks", "-1", "--seed-degree", "3"),
+    ("family", "xi", "--p", "1", "--seed-blocks", "-1"),
     ("family", "z", "--p", "1", "--seed-degree", "3"),
     ("prongs", "--class", "p,1"),
     ("prongs", "--orbit", "bad", "--class", "1,1"),
@@ -411,8 +411,21 @@ def test_cone_braid_word():
     ("family", "xi", "--p", "1..2", "--csv", "/dev/null",
      "--manifest", "/dev/../dev/null"),
     ("braid", "info", "--word", "S3 1"),
-    ("braid", "linking", "--word", "1", "--degree", "3", "--strand", "1"),
+    ("braid", "linking", "--word", "B3 1", "--strand", "1"),
     ("tribraid", "--word", ""),
+    # the header states a word's degree and sphericity, the letters a
+    # seed's degree; the options that said it again are gone
+    ("braid", "info", "--word", "1 1 -2", "--degree", "3"),
+    ("braid", "linking", "--word", "1", "--degree", "3", "--strand", "1"),
+    ("spin", "lift", "--word", "1", "--degree", "3"),
+    ("cone", "braid", "--seed-blocks", "-1", "--seed-degree", "3",
+     "--class", "1,1"),
+    # a split seed: B4 blocks that never use s_2
+    ("cone", "table", "--seed-blocks", "-1 | -1", "--seed-degree", "4",
+     "--xmax", "2", "--ymax", "2"),
+    ("family", "xi", "--p", "1", "--csv", ""),
+    ("family", "xi", "--p", "1", "--manifest", ""),
+    ("prongs", "--class", "1,x"),
 ])
 def test_rejected_input_is_a_usage_error(args):
     res = run(*args)
@@ -428,15 +441,15 @@ USAGE_MESSAGES = {
     ("prongs", "--class", "2,1", "--sweep", "p=1=2"): "expected --sweep p=LO..HI",
     ("family", "xi", "--p", "3..1"): "the range '3..1' is empty",
     ("entropy", "--braid", "B3 1 -2", "--degree", "4"):
-        "header 'B3' has degree 3, not 4",
-    ("cone", "table", "--seed-blocks", "-1 | -1", "--seed-degree", "3",
-     "--xmax", "0"): "'--xmax': 0 is not in the range x>=1",
-    ("cone", "table", "--seed-blocks", "-1 | -1", "--seed-degree", "3",
-     "--ymax", "0"): "'--ymax': 0 is not in the range x>=1",
+        "unrecognized arguments: --degree 4",
+    ("cone", "table", "--seed-blocks", "-1 | -1", "--xmax", "0"):
+        "'--xmax': 0 is not in the range x>=1",
+    ("cone", "table", "--seed-blocks", "-1 | -1", "--ymax", "0"):
+        "'--ymax': 0 is not in the range x>=1",
     ("braid", "info", "--word", "B3 1 -2", "--spherical"):
-        "header 'B3' has spherical=False",
+        "unrecognized arguments: --spherical",
     ("spin", "lift", "--word", "B3 1 1", "--spherical"):
-        "header 'B3' has spherical=False",
+        "unrecognized arguments: --spherical",
     ("entropy", "--braid", "1 -2", "--tol", "inf"): "need a finite tol",
     ("family", "xi", "--p", "1", "--csv", "/nonexistent/x.csv"):
         "cannot write /nonexistent/x.csv: No such file or directory",
@@ -455,10 +468,9 @@ USAGE_MESSAGES = {
     # z at --pre-twist t was z at p + t; the option is gone
     ("family", "beta", "--p", "1", "--pre-twist", "2"):
         "unrecognized arguments: --pre-twist 2",
-    ("family", "xi", "--p", "1", "--seed-blocks", "-1", "--seed-degree", "3"):
-        "family xi takes no seed",
+    ("family", "xi", "--p", "1", "--seed-blocks", "-1"): "family xi takes no seed",
     ("family", "z", "--p", "1", "--seed-degree", "3"):
-        "--seed-blocks and --seed-degree go together",
+        "unrecognized arguments: --seed-degree 3",
     ("prongs", "--class", "p,1"): "class contains p but no --sweep given",
     ("prongs", "--orbit", "bad", "--class", "1,1"): "expected axis:strand classes",
     ("prongs", "--class", "2,1", "--epsilon", "0"): "epsilon must be +-1",
@@ -466,8 +478,8 @@ USAGE_MESSAGES = {
     ("family", "xi", "--p", "0"): "parameters must be >= 1",
     ("cone", "norm", "--n", "3", "--u", "1", "--class", "5"): "expected a class like 5,14",
     # an option value that starts with "-" is a value, not an option
-    ("cone", "braid", "--seed-blocks", "-1|-1", "--seed-degree", "3",
-     "--class", "2,4"): "(2, 4) is not primitive",
+    ("cone", "braid", "--seed-blocks", "-1|-1", "--class", "2,4"):
+        "(2, 4) is not primitive",
     ("cone", "norm", "--n", "3", "--u", "1", "--class", "-1,2"):
         "norm is computed on nonzero classes",
     ("bogus",): "'bogus'",
@@ -479,9 +491,27 @@ USAGE_MESSAGES = {
     ("prongs", "--orbit", "1,1:2,1", "--epsilon", "-1", "--class", "1,1"):
         "prong count must be >= 1",
     ("braid", "info", "--word", "S3 1"): "bad header token 'S3'",
-    ("braid", "linking", "--word", "1", "--degree", "3", "--strand", "1"):
+    ("braid", "linking", "--word", "B3 1", "--strand", "1"):
         "strand 1 is not fixed by the permutation",
     ("tribraid", "--word", ""): "empty word",
+    ("cone", "table", "--seed-blocks", "|"): "blocks '|' have no letter",
+    ("spin", "lift", "--word", "B2 1"): "degree 2 too small to lift",
+    ("braid", "info", "--word", "B3 1 5"): "letter 5 out of range for degree 3",
+    ("braid", "info", "--word", "1 1 -2", "--degree", "3"):
+        "unrecognized arguments: --degree 3",
+    ("braid", "linking", "--word", "1", "--degree", "3", "--strand", "1"):
+        "unrecognized arguments: --degree 3",
+    ("spin", "lift", "--word", "1", "--degree", "3"):
+        "unrecognized arguments: --degree 3",
+    ("cone", "braid", "--seed-blocks", "-1", "--seed-degree", "3",
+     "--class", "1,1"): "unrecognized arguments: --seed-degree 3",
+    ("cone", "table", "--seed-blocks", "-1 | -1", "--seed-degree", "4",
+     "--xmax", "2", "--ymax", "2"): "unrecognized arguments: --seed-degree 4",
+    ("family", "xi", "--p", "1", "--csv", ""):
+        "cannot write : No such file or directory",
+    ("family", "xi", "--p", "1", "--manifest", ""):
+        "cannot write : No such file or directory",
+    ("prongs", "--class", "1,x"): "expected a class like 2,1 or p,1; got '1,x'",
 }
 
 
@@ -557,7 +587,7 @@ def test_csv_file_and_manifest_match_stdout(tmp_path):
     assert doc["outputs_digest"] == hashlib.sha256(stdout.encode()).hexdigest()
     assert doc["arguments"] == {
         "name": "xi", "p_range": "1..2", "seed_blocks": None,
-        "seed_degree": None, "with_entropy": False,
+        "with_entropy": False,
         "tol": 1e-9, "max_iter": 512, "csv_path": str(csv_path),
         "manifest": str(manifest)}
 
@@ -565,7 +595,7 @@ def test_csv_file_and_manifest_match_stdout(tmp_path):
 @pytest.mark.parametrize("line", [
     'entropy --braid "1 -2"',
     "family xi --p 1",
-    "cone table --seed-blocks -1 --seed-degree 3",
+    "cone table --seed-blocks -1",
     "reproduce thm1.1",
 ], ids=lambda line: line.split(" --")[0])
 def test_every_estimating_command_defaults_to_the_library_budget(line):
@@ -577,7 +607,7 @@ def test_every_estimating_command_defaults_to_the_library_budget(line):
 # exact stdout of commands that write through ``_emit`` or estimate through
 # ``_estimate``; all exit 0
 EMIT_GOLDENS = [
-    ('braid linking --word "1 2 2 3 3 4" --degree 5 --strand 3', """\
+    ('braid linking --word "B5 1 2 2 3 3 4" --strand 3', """\
 component,linking_number
 1 2,1
 4 5,1
@@ -587,7 +617,7 @@ conclusive,True
 """),
     ("braid generator --kind rho --n 3 --j 3", "B3 1 2 2\n"),
     ("cone norm --n 3 --u 2 --class 5,14", "38\n"),
-    ('cone table --seed-blocks "-1" --seed-degree 3 --xmax 2 --ymax 2', """\
+    ('cone table --seed-blocks "-1" --xmax 2 --ymax 2', """\
 x,y,norm,ent,Ent,converged
 1,1,3,0.9624236501192069,2.887270950357621,True
 1,2,4,0.8314429455293103,3.3257717821172412,True
@@ -602,7 +632,7 @@ preserves q1: False
 """),
     ('spin lift --word "SB8 2 3 4 5 6 7 4 5 6 7 7"',
      "genus 3; preserves q0: False; preserves q1: True\n"),
-    ('family beta --p 1..2 --seed-blocks "-1 | -1" --seed-degree 3 --with-entropy',
+    ('family beta --p 1..2 --seed-blocks "-1 | -1" --with-entropy',
      "p,degree,word,ent,Ent,converged\n"
      "1,7,-1 2 3 4 5 6 6 -1 2 3 4 5 6 6 1 2 3 4 5 6 6 1 2 3 4 5 6 6,"
      "0.9624236501192079,5.774541900715247,True\n"
@@ -678,8 +708,7 @@ def test_reproduce_defaults_print_their_golden(target):
 
 def test_cone_braid_readme_golden():
     # B39: four blocks of 38 letters each followed by s_38^2; kept as a digest
-    res = run("cone", "braid", "--seed-blocks", "-1 | -1", "--seed-degree", "3",
-              "--class", "5,14")
+    res = run("cone", "braid", "--seed-blocks", "-1 | -1", "--class", "5,14")
     assert res.exit_code == 0
     assert len(res.output) == 870 and res.output.startswith("B39 -1 2 3 ")
     assert hashlib.sha256(res.output.encode()).hexdigest() == \

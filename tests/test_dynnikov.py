@@ -14,6 +14,7 @@ from braidseq.dynnikov import (CurveCoordinates, act, braids_equal,
                                nested_seed, round_curve)
 from braidseq.families import (FamilySpec, generate, is_palindromic,
                                is_skew_palindromic)
+from braidseq.tribraid import exact_dilatation
 from braidseq.words import BraidWord, delta, full_twist, half_twist, rho
 
 sys.path.insert(0, str(Path(__file__).resolve().parent.parent / "perfbench"))
@@ -159,6 +160,17 @@ def test_reducible_twist_reports_divergence(max_iter):
     est = entropy_estimate(BraidWord(3, (2, 2)), max_iter=max_iter)
     assert not est.converged and est.iterations == max_iter
     assert est.method == "none" and 0 < est.last_delta < math.inf
+
+
+@pytest.mark.parametrize("repeats", [737, 740])
+def test_dilatation_beyond_float_range_ends_unconverged(repeats):
+    # log(lambda) of (-1 2)^k is about 0.96 k: at k = 737 the pass matrix,
+    # at k = 740 the growth of one pass does not fit in a float; the first
+    # such attempt ends the run with its best-effort value
+    word = BraidWord(3, (-1, 2) * repeats)
+    est = entropy_estimate(word, max_iter=8)
+    assert est.method == "none" and est.iterations < 8
+    assert abs(est.value - exact_dilatation(word).log) < 1e-12
 
 
 def test_seed_independence():

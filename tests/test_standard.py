@@ -311,7 +311,20 @@ def test_degree_law_all_small_seeds():
 
 
 def test_blocks_text_parsing():
-    sf = StandardForm.from_blocks_text("-1 | -1", 3)
-    assert sf.blocks == ((-1,), (-1,))
-    sf2 = StandardForm.from_blocks_text("1 2 | | -2", 4)
-    assert sf2.blocks == ((1, 2), (), (-2,))
+    sf = StandardForm.from_blocks_text("-1 | -1")
+    assert sf == StandardForm(3, ((-1,), (-1,)))
+    sf2 = StandardForm.from_blocks_text("1 2 | | -2")
+    assert sf2 == StandardForm(4, ((1, 2), (), (-2,)))
+
+
+@pytest.mark.parametrize("text, degree", [
+    ("-1", 3), ("-1 | -1", 3), ("1 -2 | -1", 4), ("2 | -1 -2", 4),
+    ("1 2 | | -2", 4)])
+def test_blocks_text_degree_is_the_largest_letter_plus_2(text, degree):
+    assert StandardForm.from_blocks_text(text).degree == degree
+
+
+@pytest.mark.parametrize("text", ["", "|"])
+def test_blocks_with_no_letter_are_rejected(text):
+    with pytest.raises(ValueError, match="have no letter"):
+        StandardForm.from_blocks_text(text)

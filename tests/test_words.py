@@ -159,26 +159,23 @@ def test_spherical_text_round_trip():
 
 
 def test_from_text_bare_letters_with_degree():
-    assert BraidWord.from_text("1 1 -2", degree=3).degree == 3
+    # a bare letter list is a disk braid of degree its largest |letter| + 1
+    assert BraidWord.from_text("1 1 -2").degree == 3
+    assert BraidWord.from_text("-4") == BraidWord(5, (-4,))
+    assert BraidWord.from_text("") == BraidWord(2, ())
 
 
 def test_from_text_header_must_agree_with_degree():
-    assert BraidWord.from_text("B3 1 -2", degree=3) == BraidWord(3, (1, -2))
-    assert BraidWord.from_text("SB4 1", degree=4) == BraidWord(4, (1,), True)
-    for text in ("B3 1 -2", "SB3 1 -2"):
-        with pytest.raises(ValueError, match="has degree 3, not 4"):
-            BraidWord.from_text(text, degree=4)
-    # the same holds for spherical; None (the default) takes the header's
-    assert BraidWord.from_text("SB3 1 2", spherical=True) == BraidWord(3, (1, 2), True)
-    assert BraidWord.from_text("B3 1 2", spherical=False) == BraidWord(3, (1, 2))
-    # with no header, None (the default) is a disk braid
+    # the header states the degree and sphericity; the letters must fit it
+    assert BraidWord.from_text("B3 1 -2") == BraidWord(3, (1, -2))
+    assert BraidWord.from_text("SB4 1") == BraidWord(4, (1,), True)
+    assert BraidWord.from_text("sb3: 1 2") == BraidWord(3, (1, 2), True)
     assert BraidWord.from_text("1 2") == BraidWord(3, (1, 2))
-    assert BraidWord.from_text("1 2", spherical=True) == BraidWord(3, (1, 2), True)
-    assert BraidWord.from_text("SB3 1 2").spherical
-    with pytest.raises(ValueError, match="'B3' has spherical=False"):
-        BraidWord.from_text("B3 1 -2", spherical=True)
-    with pytest.raises(ValueError, match="'SB3' has spherical=True"):
-        BraidWord.from_text("SB3 1 -2", degree=3, spherical=False)
+    for text in ("B3 1 5", "SB3 1 -3"):
+        with pytest.raises(ValueError, match="out of range for degree 3"):
+            BraidWord.from_text(text)
+    with pytest.raises(TypeError):
+        BraidWord.from_text("B3 1 -2", degree=3)
 
 
 # -- linking ------------------------------------------------------------------
